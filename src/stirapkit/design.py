@@ -56,7 +56,7 @@ class TargetSpec:
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("target coefficients must form a nonempty vector")
         norm = np.linalg.norm(arr)
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"target coefficients must have unit norm, got {norm}")
         arr = arr.copy()
         arr.setflags(write=False)

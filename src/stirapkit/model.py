@@ -37,20 +37,13 @@ __all__ = [
 ]
 
 
-def _complex_vector(values, length: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
-    if arr.shape != (length,):
-        raise ValueError(f"{name} must have shape ({length},), got {arr.shape}")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
-
-
-def _complex_matrix(values, shape: tuple[int, int], name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=complex)
+def _complex_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
+    """Read-only complex copy of ``values``, checked for shape and finiteness."""
+    arr = np.array(values, dtype=complex)
     if arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    arr = arr.copy()
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
     arr.setflags(write=False)
     return arr
 
@@ -74,11 +67,11 @@ class SystemSpec:
             raise ValueError("need at least one intermediate and one degenerate state")
         object.__setattr__(
             self, "mu_pump",
-            _complex_vector(self.mu_pump, self.n_intermediate, "mu_pump"))
+            _complex_array(self.mu_pump, (self.n_intermediate,), "mu_pump"))
         object.__setattr__(
             self, "mu_stokes",
-            _complex_matrix(self.mu_stokes,
-                            (self.n_intermediate, self.n_degenerate), "mu_stokes"))
+            _complex_array(self.mu_stokes,
+                           (self.n_intermediate, self.n_degenerate), "mu_stokes"))
 
     @property
     def dim(self) -> int:
@@ -124,18 +117,18 @@ class FieldSet:
     width: float
 
     def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("pulse width must be positive")
+        if not 0 < self.width < math.inf:
+            raise ValueError("pulse width must be positive and finite")
         stokes = np.asarray(self.peak_rabi_stokes, dtype=complex)
         if stokes.ndim != 2:
             raise ValueError("peak_rabi_stokes must be a 2-d array")
         n, m = stokes.shape
         object.__setattr__(
             self, "peak_rabi_pump",
-            _complex_vector(self.peak_rabi_pump, n, "peak_rabi_pump"))
+            _complex_array(self.peak_rabi_pump, (n,), "peak_rabi_pump"))
         object.__setattr__(
             self, "peak_rabi_stokes",
-            _complex_matrix(stokes, (n, m), "peak_rabi_stokes"))
+            _complex_array(stokes, (n, m), "peak_rabi_stokes"))
 
     @property
     def n_intermediate(self) -> int:

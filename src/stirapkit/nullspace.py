@@ -46,6 +46,10 @@ NODE_TOL = 1e-10
 # degenerate cluster during tracking.
 DEGENERACY_REL_TOL = 1e-8
 
+# Grid points per stacked ``eigh`` call during tracking: amortises numpy's
+# per-call overhead while a block of 16x16 Hamiltonians stays about 1 MB.
+TRACK_BLOCK = 256
+
 
 class TrackingLost(RuntimeError):
     """Eigenvector continuity broke down; the time grid is too coarse."""
@@ -100,13 +104,20 @@ class CouplingDiagnostics:
             raise ValueError("coupling strength cannot be negative")
 
 
-def _classify(profile: np.ndarray, n: int, m: int) -> NullVectorLabel:
-    z0, x, y = profile[0], profile[1:1 + n], profile[1 + n:]
-    if not z0 and x.all() and y[:-1].all() and not y[-1]:
-        return NullVectorLabel.LAMBDA1
-    if z0 and y.all() and not x.all():
-        return NullVectorLabel.LAMBDA3
-    return NullVectorLabel.GENERIC
+_LABELS = np.array([NullVectorLabel.GENERIC, NullVectorLabel.LAMBDA1,
+                    NullVectorLabel.LAMBDA3], dtype=object)
+
+
+def _labels(profiles: np.ndarray, system: SystemSpec | None) -> np.ndarray:
+    """Labels of node profiles stacked along the last axis (GENERIC without a split)."""
+    codes = np.zeros(profiles.shape[:-1], dtype=int)
+    if system is not None and profiles.shape[-1] == system.dim:
+        n = system.n_intermediate
+        z0, x, y = profiles[..., 0], profiles[..., 1:1 + n], profiles[..., 1 + n:]
+        x_nodes = x.all(axis=-1)
+        codes[~z0 & x_nodes & y[..., :-1].all(axis=-1) & ~y[..., -1]] = 1
+        codes[z0 & y.all(axis=-1) & ~x_nodes] = 2
+    return _LABELS[codes]
 
 
 def make_null_vector(components: np.ndarray, time: float,
@@ -115,11 +126,8 @@ def make_null_vector(components: np.ndarray, time: float,
     """Wrap a unit vector with its node profile and (if the split is known) label."""
     components = np.asarray(components, dtype=complex)
     profile = np.abs(components) < node_tol
-    if system is not None and components.size == system.dim:
-        label = _classify(profile, system.n_intermediate, system.n_degenerate)
-    else:
-        label = NullVectorLabel.GENERIC
-    return NullVector(StateVector(components, time), profile, label)
+    return NullVector(StateVector(components, time), profile,
+                      _labels(profile[None], system)[0])
 
 
 def s_matrix(fields: FieldSet, t: float) -> np.ndarray:
@@ -192,12 +200,11 @@ def numeric_null_space(h: np.ndarray, tol: float | None = None,
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the largest-magnitude component to the positive real axis."""
-    i = int(np.argmax(np.abs(v)))
-    pivot = v[i]
-    if abs(pivot) == 0.0:
-        return v
-    return v * (abs(pivot) / pivot)
+    """Rotate the largest component of each vector (last axis) to the positive reals."""
+    pivot = np.take_along_axis(v, np.abs(v).argmax(axis=-1)[..., None], axis=-1)
+    magnitude = np.abs(pivot)
+    return v * np.divide(magnitude, pivot, out=np.ones_like(pivot),
+                         where=magnitude > 0)
 
 
 def phase_aligned_overlap(u: np.ndarray, v: np.ndarray) -> float:
@@ -262,38 +269,35 @@ def analytic_lambda1(system: SystemSpec, fields: FieldSet, t: float,
     return make_null_vector(components, t, system, node_tol)
 
 
-def _match_to_previous(vals: np.ndarray, vecs: np.ndarray, prev: np.ndarray,
-                       degeneracy_tol: float) -> tuple[np.ndarray, float]:
-    """Best continuation of ``prev`` among the eigenvectors ``vecs``.
-
-    Picks the eigenvector with the largest overlap; if its eigenvalue sits in
-    a degenerate cluster, projects ``prev`` onto the whole cluster instead
-    (the bare eigenbasis is arbitrary there).  Returns the phase-fixed vector
-    and its overlap magnitude with ``prev``.
-    """
-    overlaps = vecs.conj().T @ prev
-    best = int(np.argmax(np.abs(overlaps)))
+def _check_seed(h0: np.ndarray, vals: np.ndarray, seeds: np.ndarray) -> None:
+    """Raise unless every column of ``seeds`` is an eigenvector of ``h0``."""
     scale = float(np.abs(vals).max())
-    cluster = np.abs(vals - vals[best]) <= degeneracy_tol * max(scale, 1e-300)
-    if cluster.sum() > 1:
-        sub = vecs[:, cluster]
-        projected = sub @ (sub.conj().T @ prev)
-        weight = float(np.linalg.norm(projected))
-        if weight == 0.0:
-            return vecs[:, best], 0.0
-        return projected / weight, weight
-    vec = vecs[:, best]
-    ov = complex(np.vdot(vec, prev))
-    if abs(ov) > 0:
-        vec = vec * (ov / abs(ov))
-    return vec, abs(ov)
-
-
-def _check_seed(h0: np.ndarray, vals: np.ndarray, seed: np.ndarray) -> None:
-    scale = float(np.abs(vals).max())
-    residual = np.linalg.norm(h0 @ seed - (seed.conj() @ h0 @ seed).real * seed)
-    if residual > 1e-8 * max(scale, 1e-300):
+    h_seeds = h0 @ seeds
+    rayleigh = np.vecdot(seeds, h_seeds, axis=0).real
+    residual = np.linalg.norm(h_seeds - rayleigh * seeds, axis=0)
+    if not np.all(residual <= 1e-8 * max(scale, 1e-300)):
         raise ValueError("seed is not an eigenvector at the start of the grid")
+
+
+def _eigen_blocks(h_sampler, grid: np.ndarray, degeneracy_tol: float):
+    """Sample once per grid point, in order; one stacked ``eigh`` per block.
+
+    Yields ``(times, h, vals, vecs, same)``; ``same[g, i, j]`` says whether
+    eigenvalues i and j at point g fall in one degenerate cluster.
+    """
+    for start in range(0, grid.size, TRACK_BLOCK):
+        times = grid[start:start + TRACK_BLOCK]
+        h = np.array([np.asarray(h_sampler(float(t)), dtype=complex)
+                      for t in times])
+        finite = np.isfinite(h).all(axis=(1, 2))
+        if not finite.all():
+            raise TrackingLost(
+                f"non-finite Hamiltonian at t = {times[finite.argmin()]:g}")
+        vals, vecs = np.linalg.eigh(h)
+        tol = degeneracy_tol * np.maximum(np.abs(vals).max(axis=1), 1e-300)
+        same = (np.abs(vals[:, :, None] - vals[:, None, :])
+                <= tol[:, None, None])
+        yield times, h, vals, vecs, same
 
 
 def track_eigenvector(h_sampler, seed: NullVector, grid,
@@ -303,34 +307,12 @@ def track_eigenvector(h_sampler, seed: NullVector, grid,
                       node_tol: float = NODE_TOL) -> list[NullVector]:
     """Follow one eigenvector continuously across a time grid.
 
-    ``h_sampler(t)`` must return the Hamiltonian at time t and ``seed`` must
-    be one of its eigenvectors at the first grid point.  The phase is pinned
-    by a positive overlap with the previous point (largest-component
-    convention at the start), and inside degenerate clusters the previous
-    vector is projected onto the cluster rather than matched to an arbitrary
-    eigenbasis member.  Raises :class:`TrackingLost` when the step-to-step
-    overlap drops below ``min_overlap``.
+    The one-seed case of :func:`track_null_frame`, which documents the
+    continuation rule.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 1:
-        raise ValueError("empty time grid")
-    prev = seed.components / np.linalg.norm(seed.components)
-    track: list[NullVector] = []
-    for idx, t in enumerate(grid):
-        h = np.asarray(h_sampler(float(t)), dtype=complex)
-        vals, vecs = np.linalg.eigh(h)
-        if idx == 0:
-            _check_seed(h, vals, prev)
-        vec, overlap = _match_to_previous(vals, vecs, prev, degeneracy_tol)
-        if overlap < min_overlap:
-            raise TrackingLost(
-                f"overlap {overlap:.3f} below {min_overlap} at t = {t:g}; "
-                "refine the time grid")
-        if idx == 0:
-            vec = _fix_phase(vec)
-        track.append(make_null_vector(vec, float(t), system, node_tol))
-        prev = vec
-    return track
+    frames = track_null_frame(h_sampler, [seed], grid, degeneracy_tol,
+                              min_overlap, system, node_tol)
+    return [frame[0] for frame in frames]
 
 
 def track_null_frame(h_sampler, seeds, grid,
@@ -340,47 +322,60 @@ def track_null_frame(h_sampler, seeds, grid,
                      node_tol: float = NODE_TOL) -> list[list[NullVector]]:
     """Track several mutually orthogonal eigenvectors as one orthonormal frame.
 
-    Same continuation rule as :func:`track_eigenvector`, applied seed by seed
-    at each grid point with Gram-Schmidt against the members already placed,
-    so vectors sharing a degenerate cluster stay orthonormal along the track.
-    Returns one frame (list parallel to ``seeds``) per grid point.
+    ``h_sampler(t)`` must return the Hamiltonian at time t; it is called once
+    per grid point, in grid order.  Every seed must be an eigenvector at the
+    first grid point.  At each point, each member continues as the
+    eigenvector with the largest overlap with its previous vector, or, when
+    that eigenvalue sits in a degenerate cluster (where the bare eigenbasis
+    is arbitrary), as the projection of its previous vector onto the whole
+    cluster.  The members are then orthonormalised in seed order
+    (Gram-Schmidt, so vectors sharing a cluster stay orthonormal) and each
+    phase is pinned by a positive overlap with its previous vector
+    (largest-component convention at the start).  Raises
+    :class:`TrackingLost` when a member vanishes, when its step-to-step
+    overlap drops below ``min_overlap``, or when a sampled Hamiltonian is not
+    finite.  Returns one frame (list parallel to ``seeds``) per grid point.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 1:
         raise ValueError("empty time grid")
-    previous = [np.asarray(s.components, dtype=complex) for s in seeds]
-    previous = [p / np.linalg.norm(p) for p in previous]
-    frames: list[list[NullVector]] = []
-    for idx, t in enumerate(grid):
-        h = np.asarray(h_sampler(float(t)), dtype=complex)
-        vals, vecs = np.linalg.eigh(h)
-        placed: list[np.ndarray] = []
-        frame: list[NullVector] = []
-        for seed_idx, prev in enumerate(previous):
-            if idx == 0:
-                _check_seed(h, vals, prev)
-            vec, _ = _match_to_previous(vals, vecs, prev, degeneracy_tol)
-            for other in placed:
-                vec = vec - other * np.vdot(other, vec)
-            weight = np.linalg.norm(vec)
-            if weight == 0.0:
+    prev = np.array([np.asarray(s.components, dtype=complex) for s in seeds]).T
+    if prev.ndim != 2:
+        raise ValueError("need at least one seed vector")
+    prev = prev / np.linalg.norm(prev, axis=0)
+    frames = np.empty((grid.size, prev.shape[1], prev.shape[0]), dtype=complex)
+    idx = 0
+    for times, h, vals, vecs, same in _eigen_blocks(h_sampler, grid,
+                                                    degeneracy_tol):
+        if idx == 0:
+            _check_seed(h[0], vals[0], prev)
+        for g, t in enumerate(times):
+            overlaps = vecs[g].conj().T @ prev
+            best = np.abs(overlaps).argmax(axis=0)
+            q, r = np.linalg.qr(vecs[g] @ (same[g][:, best] * overlaps))
+            kept = r.diagonal() != 0
+            if not kept.all():
                 raise TrackingLost(
-                    f"frame member {seed_idx} vanished at t = {t:g}")
-            vec = vec / weight
-            overlap = abs(np.vdot(vec, prev))
-            if overlap < min_overlap:
+                    f"frame member {kept.argmin()} vanished at t = {t:g}")
+            aligned = np.vecdot(q, prev, axis=0)
+            weight = np.abs(aligned)
+            kept = weight >= min_overlap
+            if not kept.all():
+                k = kept.argmin()
                 raise TrackingLost(
-                    f"overlap {overlap:.3f} below {min_overlap} for frame "
-                    f"member {seed_idx} at t = {t:g}; refine the time grid")
-            ov = complex(np.vdot(vec, prev))
-            vec = vec * (ov / abs(ov))
+                    f"overlap {weight[k]:.3f} below {min_overlap} for frame "
+                    f"member {k} at t = {t:g}; refine the time grid")
+            prev = q * (aligned / weight)
             if idx == 0:
-                vec = _fix_phase(vec)
-            placed.append(vec)
-            frame.append(make_null_vector(vec, float(t), system, node_tol))
-        frames.append(frame)
-        previous = placed
-    return frames
+                prev = _fix_phase(prev.T).T
+            frames[idx] = prev.T
+            idx += 1
+
+    profiles = np.abs(frames) < node_tol
+    labels = _labels(profiles, system)
+    return [[NullVector(StateVector(vec, t), profile, label)
+             for vec, profile, label in zip(*point)]
+            for t, *point in zip(grid.tolist(), frames, profiles, labels)]
 
 
 def nonadiabatic_coupling(track_a, track_b, grid,
@@ -398,18 +393,19 @@ def nonadiabatic_coupling(track_a, track_b, grid,
         raise ValueError("grid too short for a central finite difference")
     a = np.array([v.components for v in track_a])
     b = np.array([v.components for v in track_b])
-    for i in range(grid.size):
-        if (abs(np.linalg.norm(a[i]) - 1) > orthonormal_tol
-                or abs(np.linalg.norm(b[i]) - 1) > orthonormal_tol
-                or abs(np.vdot(a[i], b[i])) > orthonormal_tol):
-            raise ValueError(f"tracks are not an orthonormal pair at t = {grid[i]:g}")
-    out = []
-    for i in range(1, grid.size - 1):
-        db = (b[i + 1] - b[i - 1]) / (grid[i + 1] - grid[i - 1])
-        chi = abs(np.vdot(a[i], db))
-        out.append(CouplingDiagnostics(
-            chi, (track_a[i].label.value, track_b[i].label.value), float(grid[i])))
-    return out
+    deviation = np.maximum.reduce([
+        np.abs(np.linalg.norm(a, axis=1) - 1),
+        np.abs(np.linalg.norm(b, axis=1) - 1),
+        np.abs(np.vecdot(a, b))])
+    broken = np.flatnonzero(~(deviation <= orthonormal_tol))
+    if broken.size:
+        raise ValueError(
+            f"tracks are not an orthonormal pair at t = {grid[broken[0]]:g}")
+    db = (b[2:] - b[:-2]) / (grid[2:] - grid[:-2])[:, None]
+    chi = np.abs(np.vecdot(a[1:-1], db))
+    return [CouplingDiagnostics(c, (va.label.value, vb.label.value), t)
+            for c, va, vb, t in zip(chi.tolist(), track_a[1:-1], track_b[1:-1],
+                                    grid[1:-1].tolist())]
 
 
 def analytic_pair_tracks(system: SystemSpec, fields: FieldSet, grid,

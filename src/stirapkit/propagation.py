@@ -57,6 +57,12 @@ class PropagationConfig:
     output_stride: float = 0.01
 
     def __post_init__(self):
+        settings = [self.t_start, self.t_end, self.rel_tol, self.abs_tol,
+                    self.output_stride]
+        if self.max_step is not None:
+            settings.append(self.max_step)
+        if not np.isfinite(settings).all():
+            raise ValueError("propagation settings must be finite")
         if not self.t_start < self.t_end:
             raise ValueError("t_start must precede t_end")
         if self.rel_tol <= 0 or self.abs_tol <= 0:

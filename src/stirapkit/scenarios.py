@@ -146,6 +146,10 @@ SCENARIO_SCHEMA = {
     },
 }
 
+# Built once: ``jsonschema.validate`` would re-check the schema itself and
+# rebuild the validator on every load.
+_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+
 SWEEP_AXES = ("width", "amplitude-scale", "phase-perturbation", "eta")
 
 
@@ -405,11 +409,10 @@ def _apply_overrides(fields_dict: dict, overrides: list[dict],
 
 
 def _scenario_from_dict(raw: dict) -> Scenario:
-    try:
-        jsonschema.validate(raw, SCENARIO_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(part) for part in exc.absolute_path) or "(root)"
-        raise ScenarioError(f"scenario field {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if error is not None:
+        where = "/".join(str(part) for part in error.absolute_path) or "(root)"
+        raise ScenarioError(f"scenario field {where}: {error.message}") from error
 
     sys_raw = raw["system"]
     try:
@@ -539,14 +542,15 @@ def config_hash(scenario: Scenario) -> str:
 
 def _check_bounds(bounds: Bounds, traj: Trajectory) -> list[str]:
     violations = []
-    if bounds.max_p_x is not None and traj.max_p_x >= bounds.max_p_x:
+    # written as "not within" so that a NaN aggregate counts as a violation
+    if bounds.max_p_x is not None and not traj.max_p_x < bounds.max_p_x:
         violations.append(
             f"max P_x {traj.max_p_x:.6e} >= bound {bounds.max_p_x:g}")
-    if bounds.max_p_y is not None and traj.max_p_y >= bounds.max_p_y:
+    if bounds.max_p_y is not None and not traj.max_p_y < bounds.max_p_y:
         violations.append(
             f"max P_y {traj.max_p_y:.6e} >= bound {bounds.max_p_y:g}")
     if (bounds.min_final_p_f is not None
-            and traj.final_p_f < bounds.min_final_p_f):
+            and not traj.final_p_f >= bounds.min_final_p_f):
         violations.append(
             f"final P_f {traj.final_p_f:.8f} < bound {bounds.min_final_p_f:g}")
     return violations

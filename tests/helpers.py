@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the package's own code paths: the
 fixed-step integrator assembles its Hamiltonian from raw arrays and steps
-with classic RK4, and the exact determinant uses fraction-free integer
-elimination.  They exist to cross-check rather than reuse the library.
+with classic RK4, the exact determinant uses fraction-free integer
+elimination, and the frame tracker diagonalises one point at a time and
+orthonormalises seed by seed.  They exist to cross-check rather than reuse
+the library.
 """
 
 import numpy as np
@@ -144,3 +146,61 @@ def intermediate_null_seeds(fields: FieldSet):
         v[1:1 + n] = x
         seeds.append(v)
     return seeds
+
+
+def reference_null_frame(h_of, seeds, grid, degeneracy_tol=1e-8,
+                         min_overlap=0.5):
+    """Plain per-point frame tracker, shaped (points, seeds, dim).
+
+    At every grid point, one seed at a time: take the eigenvector with the
+    largest overlap with the seed's previous vector, or the projection of
+    that vector onto the eigenvector's degenerate cluster (eigenvalues within
+    ``degeneracy_tol`` of the spectral radius); subtract the members already
+    placed (classical Gram-Schmidt in seed order); normalise; rotate to a
+    positive overlap with the previous vector.  On the first point each
+    vector's largest component is then made real positive.
+    """
+    previous = [np.asarray(s, dtype=complex) / np.linalg.norm(s)
+                for s in seeds]
+    frames = []
+    for i, t in enumerate(grid):
+        vals, vecs = np.linalg.eigh(h_of(float(t)))
+        scale = max(float(np.abs(vals).max()), 1e-300)
+        placed = []
+        for prev in previous:
+            overlaps = vecs.conj().T @ prev
+            best = int(np.argmax(np.abs(overlaps)))
+            cluster = np.abs(vals - vals[best]) <= degeneracy_tol * scale
+            vec = vecs[:, cluster] @ overlaps[cluster]
+            for other in placed:
+                vec = vec - other * np.vdot(other, vec)
+            vec = vec / np.linalg.norm(vec)
+            overlap = np.vdot(vec, prev)
+            if abs(overlap) < min_overlap:
+                raise RuntimeError(f"reference tracker lost at t = {t:g}")
+            vec = vec * (overlap / abs(overlap))
+            if i == 0:
+                pivot = vec[int(np.argmax(np.abs(vec)))]
+                vec = vec * (abs(pivot) / pivot)
+            placed.append(vec)
+        frames.append(placed)
+        previous = placed
+    return np.array(frames)
+
+
+def node_label(vec, n, node_tol=1e-10) -> str:
+    """Paper label of a dressed vector from its nodes, written out by hand.
+
+    "Lambda1": nonzero initial and last degenerate amplitudes, nodes on every
+    intermediate and every other degenerate state.  "Lambda3": nodes on the
+    initial state and the whole degenerate manifold, not on every
+    intermediate.  Anything else is "Generic".
+    """
+    node = [abs(c) < node_tol for c in vec]
+    initial, middle, degenerate = node[0], node[1:1 + n], node[1 + n:]
+    if (not initial and all(middle) and all(degenerate[:-1])
+            and not degenerate[-1]):
+        return "Lambda1"
+    if initial and all(degenerate) and not all(middle):
+        return "Lambda3"
+    return "Generic"

@@ -19,6 +19,8 @@ class TestTargetSpec:
     def test_norm_enforced(self):
         with pytest.raises(ValueError, match="unit norm"):
             TargetSpec([1.0, 1.0])
+        with pytest.raises(ValueError, match="unit norm"):
+            TargetSpec([np.nan, 1.0])
 
     def test_basis_index_range(self):
         with pytest.raises(IndexError):

@@ -188,6 +188,22 @@ class TestTypes:
         assert np.all(state.components[1:] == 0)
         assert state.time == -4.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="mu_pump must be finite"):
+            SystemSpec(1, 1, [bad], [[1.0]])
+        with pytest.raises(ValueError, match="mu_stokes must be finite"):
+            SystemSpec(1, 1, [1.0], [[complex(1.0, bad)]])
+        with pytest.raises(ValueError, match="peak_rabi_pump must be finite"):
+            FieldSet([bad], [[1.0]], 1.0)
+        with pytest.raises(ValueError, match="peak_rabi_stokes must be finite"):
+            FieldSet([1.0], [[bad]], 1.0)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf])
+    def test_non_finite_width_rejected(self, width):
+        with pytest.raises(ValueError, match="width"):
+            FieldSet([1.0], [[1.0]], width)
+
     def test_state_vector_validation(self):
         with pytest.raises(ValueError):
             StateVector(np.array([[1.0], [0.0]]))  # must be 1-d

@@ -12,8 +12,11 @@ from stirapkit import (DesignError, FieldSet, NullVectorLabel, SystemSpec,
                        phase_aligned_distance, phase_aligned_overlap, s_matrix,
                        track_eigenvector, track_null_frame)
 
-from helpers import (bareiss_det, crandn, intermediate_null_seeds,
-                     random_designed_fields, random_feasible_system)
+from stirapkit.nullspace import TRACK_BLOCK
+
+from helpers import (bareiss_det, crandn, intermediate_null_seeds, node_label,
+                     random_designed_fields, random_feasible_system,
+                     reference_null_frame)
 
 # Exact determinant of the 7x7 reference Stokes table at its peak, from
 # fraction-free integer elimination (helpers.bareiss_det).
@@ -258,6 +261,104 @@ class TestTracking:
         seed = make_null_vector(np.eye(8)[0], 0.0)
         with pytest.raises(TrackingLost):
             track_eigenvector(sampler, seed, [0.0, 1.0])
+        pair = [seed, make_null_vector(np.eye(8)[1], 0.0)]
+        with pytest.raises(TrackingLost):
+            track_null_frame(sampler, pair, [0.0, 1.0])
+
+    def test_non_finite_hamiltonian(self):
+        h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        seed = make_null_vector(np.eye(3)[0], 0.0)
+
+        def sampler(t):
+            return h * np.nan if t > 0.5 else h
+
+        with pytest.raises(TrackingLost, match="non-finite"):
+            track_null_frame(sampler, [seed], np.linspace(0.0, 1.0, 5))
+
+    @pytest.mark.parametrize("case", ["fig2", "partners", "long", "rotating"])
+    def test_matches_reference_tracker(self, fig2, case):
+        if case == "rotating":
+            # a threefold eigenvalue whose eigenspace turns with time: the
+            # cluster projections are no longer orthogonal, so the
+            # Gram-Schmidt step matters
+            import scipy.linalg
+            rng = np.random.default_rng(18)
+            a = crandn(rng, 6, 6)
+            generator = a + a.conj().T
+            levels = np.diag([0.0, 0.0, 0.0, 1.0, 2.5, -1.5])
+
+            def sampler(t):
+                u = scipy.linalg.expm(1j * t * generator)
+                return u @ levels @ u.conj().T
+
+            system = None
+            grid = np.linspace(0.0, 1.0, 201)
+            seeds = [make_null_vector(v, 0.0) for v in np.eye(6)[:4]]
+        else:
+            if case == "fig2":
+                system, fields = fig2
+                target = TargetSpec.basis(system.n_degenerate)
+                points = 181
+            else:
+                rng = np.random.default_rng(16)
+                system = random_feasible_system(rng, 5, 2)
+                fields, target, _ = random_designed_fields(rng, system)
+                # the long grid crosses two block boundaries
+                points = 181 if case == "partners" else 2 * TRACK_BLOCK + 3
+            grid = np.linspace(-4.0, 5.0, points)
+            seeds = [analytic_lambda1(system, fields, grid[0], target)]
+            seeds += [make_null_vector(v, grid[0], system)
+                      for v in intermediate_null_seeds(fields)]
+
+            def sampler(t):
+                return hamiltonian(system, fields, t)
+
+        frames = track_null_frame(sampler, seeds, grid, system=system)
+        expected = reference_null_frame(
+            sampler, [s.components for s in seeds], grid)
+        got = np.array([[v.components for v in f] for f in frames])
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
+        for frame, reference in zip(frames, expected):
+            labels = [v.label.value for v in frame]
+            if system is None:
+                assert labels == ["Generic"] * len(frame)
+            else:
+                assert labels == [node_label(r, system.n_intermediate)
+                                  for r in reference]
+
+    def test_sampler_called_once_per_point_in_order(self):
+        rng = np.random.default_rng(17)
+        a = crandn(rng, 5, 5)
+        h = a + a.conj().T
+        _, vecs = np.linalg.eigh(h)
+        grid = np.linspace(0.0, 1.0, TRACK_BLOCK + 7)
+        calls = []
+
+        def sampler(t):
+            calls.append(t)
+            return h * (1.0 + t)
+
+        track_null_frame(sampler, [make_null_vector(vecs[:, 0], 0.0),
+                                   make_null_vector(vecs[:, 3], 0.0)], grid)
+        assert calls == grid.tolist()
+
+    def test_eigenvector_is_one_seed_frame(self, fig2):
+        system, fields = fig2
+        grid = np.linspace(-4.0, 5.0, 91)
+        seed = analytic_lambda1(system, fields, grid[0])
+
+        def sampler(t):
+            return hamiltonian(system, fields, t)
+
+        track = track_eigenvector(sampler, seed, grid, system=system)
+        frames = track_null_frame(sampler, [seed], grid, system=system)
+        assert len(track) == len(frames) == grid.size
+        for vec, frame in zip(track, frames):
+            assert np.array_equal(vec.components, frame[0].components)
+            assert np.array_equal(vec.node_profile, frame[0].node_profile)
+            assert vec.label is frame[0].label
+            assert vec.vector.time == frame[0].vector.time
 
 
 class TestNonadiabaticCoupling:

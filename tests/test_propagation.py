@@ -29,6 +29,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             PropagationConfig(output_stride=-0.1)
 
+    @pytest.mark.parametrize("setting", ["t_start", "t_end", "rel_tol",
+                                         "abs_tol", "max_step", "output_stride"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, setting, bad):
+        with pytest.raises(ValueError, match="finite"):
+            PropagationConfig(**{setting: bad})
+
 
 class TestPropagate:
     def test_zero_fields_constant_state(self):

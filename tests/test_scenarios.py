@@ -1,13 +1,17 @@
 """Scenario files, built-in reproductions, runs and sweeps."""
 
 import json
+import math
+from types import SimpleNamespace
 
+import jsonschema
 import numpy as np
 import pytest
 
 from stirapkit import (ScenarioError, builtin_names, builtin_scenario,
                        config_hash, load_scenario, run, scenario_to_dict,
                        sweep)
+from stirapkit.scenarios import SCENARIO_SCHEMA, Bounds, _check_bounds
 
 # Reference parameter tables (peak amplitudes in units of one over the
 # width), frozen here independently of the package's own copies.
@@ -117,6 +121,46 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="system/n_intermediate"):
             load_scenario(path)
 
+    def test_schema_is_valid(self):
+        jsonschema.Draft202012Validator.check_schema(SCENARIO_SCHEMA)
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw["system"].update(n_intermediate=0),
+        lambda raw: raw.update(extra=1),
+        lambda raw: raw["fields"].update(peak_rabi_pump=[[1.0, 2.0, 3.0]]),
+        lambda raw: raw.pop("target"),
+    ], ids=["minimum", "extra-key", "pair-length", "required"])
+    def test_schema_error_text(self, edit):
+        # the message is the one jsonschema.validate would raise
+        raw = small_scenario_dict()
+        edit(raw)
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(raw, SCENARIO_SCHEMA)
+        where = "/".join(map(str, expected.value.absolute_path)) or "(root)"
+        with pytest.raises(ScenarioError) as got:
+            load_scenario_from(raw)
+        assert str(got.value) == (
+            f"scenario field {where}: {expected.value.message}")
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw, bad: raw["system"].update(mu_pump=[bad]),
+        lambda raw, bad: raw["system"].update(mu_stokes=[[[1.0, bad]]]),
+        lambda raw, bad: raw["fields"].update(peak_rabi_pump=[bad]),
+        lambda raw, bad: raw["fields"].update(peak_rabi_stokes=[[bad]]),
+        lambda raw, bad: raw["fields"].update(width=bad),
+        lambda raw, bad: raw.update(target=[bad]),
+        lambda raw, bad: raw["propagation"].update(rel_tol=bad),
+    ], ids=["mu_pump", "mu_stokes", "pump", "stokes", "width", "target",
+            "rel_tol"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_value_rejected(self, tmp_path, edit, bad):
+        raw = small_scenario_dict()
+        edit(raw, bad)
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(raw))  # writes NaN / Infinity literals
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
+
     def test_complex_entries(self, tmp_path):
         raw = small_scenario_dict()
         raw["fields"]["peak_rabi_pump"] = [[60.0, 30.0]]
@@ -205,6 +249,12 @@ class TestRun:
         record, _ = run(load_scenario_from(raw))
         assert not record.bounds_ok
         assert any("P_x" in v for v in record.violations)
+
+    def test_nan_aggregates_violate_bounds(self):
+        bounds = Bounds(max_p_x=0.1, max_p_y=0.1, min_final_p_f=0.9)
+        traj = SimpleNamespace(max_p_x=math.nan, max_p_y=math.nan,
+                               final_p_f=math.nan)
+        assert len(_check_bounds(bounds, traj)) == 3
 
     def test_zero_fields_stay_put(self):
         raw = small_scenario_dict()
