@@ -92,9 +92,6 @@ _stride_option = click.option("--stride", type=float, default=None,
 _out_option = click.option("--out", "out_dir",
                            type=click.Path(file_okay=False), default=None,
                            help="Directory for trajectory and summary files.")
-_seed_option = click.option("--seed", type=int, default=None,
-                            help="Seed for randomized scenario content "
-                                 "(reserved; recorded for reproducibility).")
 
 
 @click.group()
@@ -173,8 +170,7 @@ def verify(scenario_ref):
 @_abs_tol_option
 @_stride_option
 @_out_option
-@_seed_option
-def run_cmd(scenario_ref, window, rel_tol, abs_tol, stride, out_dir, seed):
+def run_cmd(scenario_ref, window, rel_tol, abs_tol, stride, out_dir):
     """Execute one scenario: design/verify, propagate, check bounds."""
     scenario = _apply_flags(_load(scenario_ref), window, rel_tol, abs_tol,
                             stride)
@@ -204,8 +200,7 @@ def reproduce(name, window, rel_tol, abs_tol, stride, out_dir):
 @click.option("--jobs", type=int, default=None,
               help="Parallel workers (default: one per value, capped at CPUs).")
 @_out_option
-@_seed_option
-def sweep_cmd(scenario_ref, axis, values, pump_index, jobs, out_dir, seed):
+def sweep_cmd(scenario_ref, axis, values, pump_index, jobs, out_dir):
     """Run SCENARIO_REF once per axis value and tabulate the results."""
     scenario = _load(scenario_ref)
     try:

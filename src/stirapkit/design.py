@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .model import FieldSet, SystemSpec
 
@@ -129,6 +128,27 @@ def _pruned_indices(effective: np.ndarray) -> frozenset[int]:
         if abs(effective[k]) <= PRUNE_REL_TOL * scale)
 
 
+def _pivot_rows(mu: np.ndarray, count: int) -> tuple[int, ...]:
+    """Rows chosen by greedy column-pivoted QR of ``mu.T``, in ascending order.
+
+    Gram-Schmidt with LAPACK's pivot rule: each step takes the row with the
+    largest residual norm among those not yet taken, ties going to the first
+    in LAPACK's swapped column order, and projects it out of the rest.
+    Whenever ``mu`` has full column rank the choice equals
+    ``scipy.linalg.qr(mu.T, pivoting=True)``'s first ``count`` pivots.
+    """
+    residual = np.array(mu, dtype=complex)
+    order = list(range(len(residual)))
+    for i in range(count):
+        norms = np.linalg.norm(residual[order[i:]], axis=1)
+        j = i + int(np.argmax(norms))
+        order[i], order[j] = order[j], order[i]
+        if norms[j - i] > 0.0:
+            unit = residual[order[i]] / norms[j - i]
+            residual -= np.outer(residual @ unit.conj(), unit)
+    return tuple(sorted(order[:count]))
+
+
 def check_feasibility(system: SystemSpec, target: TargetSpec,
                       eta: complex = 1.0 + 0.0j) -> DesignReport:
     """Decide whether a complete-transfer design exists for this system.
@@ -153,8 +173,7 @@ def check_feasibility(system: SystemSpec, target: TargetSpec,
             "cannot be suppressed, however slow the pulses")
         return DesignReport(False, eta, pruned, effective, 0.0j, (), tuple(notes))
 
-    _, _, pivots = scipy.linalg.qr(system.mu_stokes.T, pivoting=True)
-    rows = tuple(sorted(int(p) for p in pivots[:m]))
+    rows = _pivot_rows(system.mu_stokes, m)
     block = system.mu_stokes[list(rows), :]
     det = complex(np.linalg.det(block))
     hadamard = float(np.prod(np.linalg.norm(block, axis=1)))

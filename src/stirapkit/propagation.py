@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .design import TargetSpec
 from .model import (FieldSet, StateVector, SystemSpec, coupling_blocks,
@@ -151,7 +150,10 @@ def _resolve_target(fields: FieldSet, target: TargetSpec | None) -> TargetSpec:
 def _split_populations(states: np.ndarray, n: int, m: int,
                        target: TargetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y = states[:, 1 + n:]
-    p_f = np.abs(y @ target.coefficients.conj()) ** 2
+    # an elementwise product, not ``y @ c``: OpenBLAS threads that tall
+    # matrix-vector product, which then takes 6 ms instead of 0.2 ms and
+    # leaves a worker thread spinning for about 0.1 s after it returns
+    p_f = np.abs((y * target.coefficients.conj()).sum(axis=1)) ** 2
     p_y = np.maximum((np.abs(y) ** 2).sum(axis=1) - p_f, 0.0)
     p_x = (np.abs(states[:, 1:1 + n]) ** 2).sum(axis=1)
     return p_x, p_y, p_f
@@ -172,6 +174,16 @@ def _make_rhs(fields: FieldSet):
                       + stokes_envelope(t, width) * (h_stokes @ psi))
 
     return rhs
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first integration.
+
+    Importing scipy costs about half a second, so design, verification and
+    null-space work, which never integrate, do not load it.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _integrate(fields: FieldSet, psi0: np.ndarray, t_from: float, t_to: float,
@@ -236,7 +248,8 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
     pops = np.abs(states) ** 2
     norm_error = np.abs(np.sqrt(pops.sum(axis=1)) - 1.0)
     norm_tol = max(1e-9, 10.0 * max(config.rel_tol, config.abs_tol))
-    if norm_error.max() > norm_tol:
+    # written as "not within" so that a NaN state counts as drift
+    if not norm_error.max() <= norm_tol:
         raise PropagationError(
             f"norm drifted by {norm_error.max():.3e} (tolerance {norm_tol:.1e}); "
             "tighten the integration tolerances")
@@ -262,7 +275,10 @@ def evolve_state(system: SystemSpec, fields: FieldSet, state: StateVector,
         raise ValueError(f"state must have {system.dim} components")
     step = (max_step if max_step is not None else DEFAULT_MAX_STEP) * fields.width
     sol = _integrate(fields, psi0, state.time, t_to, rel_tol, abs_tol, step)
-    return StateVector(sol.y[:, -1], t_to)
+    final = sol.y[:, -1]
+    if not np.isfinite(final).all():
+        raise PropagationError("integration produced a non-finite state")
+    return StateVector(final, t_to)
 
 
 def populations(trajectory: Trajectory, target: TargetSpec,

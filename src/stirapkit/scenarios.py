@@ -12,7 +12,6 @@ the resolved scenario (timestamps live outside the summary), plus a CSV time
 series with one population column per state.
 """
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -562,21 +561,21 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     Columns: ``t_over_T``, per-state populations (initial, intermediates,
     degenerates), the three aggregates and the norm error.  Values are
     printed with full double precision, so identical runs produce identical
-    files.
+    files.  Lines end in ``\r\n``, as :mod:`csv` writes them.
     """
     n, m = trajectory.n_intermediate, trajectory.n_degenerate
     header = (["t_over_T", "p0"]
               + [f"p_i{k}" for k in range(1, n + 1)]
               + [f"p_f{j}" for j in range(1, m + 1)]
               + ["P_x", "P_y", "P_f", "norm_err"])
+    table = np.column_stack([trajectory.times_over_width,
+                             trajectory.populations, trajectory.p_x,
+                             trajectory.p_y, trajectory.p_f,
+                             trajectory.norm_error])
+    line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for i, tau in enumerate(trajectory.times_over_width):
-            row = ([tau] + list(trajectory.populations[i])
-                   + [trajectory.p_x[i], trajectory.p_y[i],
-                      trajectory.p_f[i], trajectory.norm_error[i]])
-            writer.writerow([format(v, ".17g") for v in row])
+        handle.write(",".join(header) + "\r\n")
+        handle.write(line * len(table) % tuple(table.ravel().tolist()))
 
 
 def _slug(label: str) -> str:

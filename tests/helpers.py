@@ -3,10 +3,14 @@
 The oracles here deliberately avoid the package's own code paths: the
 fixed-step integrator assembles its Hamiltonian from raw arrays and steps
 with classic RK4, the exact determinant uses fraction-free integer
-elimination, and the frame tracker diagonalises one point at a time and
-orthonormalises seed by seed.  They exist to cross-check rather than reuse
-the library.
+elimination, the frame tracker diagonalises one point at a time and
+orthonormalises seed by seed, and the CSV oracle writes row by row through
+:mod:`csv`.  They exist to cross-check rather than reuse the library.
 """
+
+import csv
+import io
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -204,3 +208,27 @@ def node_label(vec, n, node_tol=1e-10) -> str:
     if initial and all(degenerate) and not all(middle):
         return "Lambda3"
     return "Generic"
+
+
+def trajectory_csv_oracle(trajectory) -> bytes:
+    """Trajectory CSV written one row at a time with :func:`csv.writer`."""
+    n, m = trajectory.n_intermediate, trajectory.n_degenerate
+    handle = io.StringIO(newline="")
+    writer = csv.writer(handle)
+    writer.writerow(["t_over_T", "p0"]
+                    + [f"p_i{k}" for k in range(1, n + 1)]
+                    + [f"p_f{j}" for j in range(1, m + 1)]
+                    + ["P_x", "P_y", "P_f", "norm_err"])
+    for i, time in enumerate(trajectory.times):
+        row = ([time / trajectory.width] + list(trajectory.populations[i])
+               + [trajectory.p_x[i], trajectory.p_y[i], trajectory.p_f[i],
+                  trajectory.norm_error[i]])
+        writer.writerow([format(v, ".17g") for v in row])
+    return handle.getvalue().encode()
+
+
+def nan_solve_ivp(fun, t_span, y0, t_eval=None, **kwargs):
+    """Stand-in for ``solve_ivp`` that reports success with a NaN state."""
+    points = 1 if t_eval is None else len(t_eval)
+    return SimpleNamespace(success=True, message="",
+                           y=np.full((len(y0), points), np.nan, dtype=complex))

@@ -5,7 +5,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import stirapkit.propagation
 from stirapkit.cli import main
+
+from helpers import nan_solve_ivp
 
 
 @pytest.fixture
@@ -65,6 +68,13 @@ class TestRun:
         result = runner.invoke(main, ["run", ref])
         assert result.exit_code == 3
 
+    def test_nan_trajectory_exit_code(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp", nan_solve_ivp)
+        ref = write_scenario(tmp_path, mini_dict())
+        result = runner.invoke(main, ["run", ref])
+        assert result.exit_code == 4, result.output
+        assert "numerical failure" in result.output
+
     def test_unknown_scenario_exit_code(self, runner):
         result = runner.invoke(main, ["run", "does-not-exist.json"])
         assert result.exit_code == 1
@@ -80,6 +90,13 @@ class TestRun:
         lines = (tmp_path / "mini.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "-5"
         assert lines[-1].split(",")[0] == "6"
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_no_seed_option(runner, command):
+    result = runner.invoke(main, [command, "--help"])
+    assert result.exit_code == 0
+    assert "--seed" not in result.output
 
 
 class TestReproduce:

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import stirapkit.design
 from stirapkit import (DesignError, FieldSet, SystemSpec, TargetSpec,
-                       analytic_lambda1, check_feasibility, design_fields,
-                       effective_dipoles, hamiltonian, matched_pump_rabi,
-                       numeric_null_space, reduce_channels, verify_design)
+                       analytic_lambda1, builtin_scenario, check_feasibility,
+                       design_fields, effective_dipoles, hamiltonian,
+                       matched_pump_rabi, numeric_null_space, reduce_channels,
+                       verify_design)
 
 from helpers import crandn, random_feasible_system, random_target
 
@@ -89,6 +92,90 @@ class TestCheckFeasibility:
         system = SystemSpec(2, 2, [1, 1], mu)
         report = check_feasibility(system, TargetSpec.basis(2))
         assert report.pruned_pumps == frozenset({1})
+
+
+def scipy_pivot_rows(mu, count):
+    """First ``count`` pivots of LAPACK's column-pivoted QR of ``mu.T``."""
+    _, _, pivots = scipy.linalg.qr(mu.T, pivoting=True)
+    return tuple(sorted(int(p) for p in pivots[:count]))
+
+
+def assert_matches_scipy(monkeypatch, system, target):
+    """The report equals the one built on scipy's pivots.
+
+    Without full column rank of the Stokes matrix only the verdict is
+    compared: the last pivots then fall among residual norms at roundoff
+    level, where LAPACK's choice is no better than any other.
+    """
+    report = check_feasibility(system, target)
+    with monkeypatch.context() as patch:
+        patch.setattr(stirapkit.design, "_pivot_rows", scipy_pivot_rows)
+        expected = check_feasibility(system, target)
+    assert report.feasible == expected.feasible
+    assert report.notes == expected.notes
+    if np.linalg.matrix_rank(system.mu_stokes) == system.n_degenerate:
+        assert report.selected_rows == expected.selected_rows
+        assert report.det_check == expected.det_check
+
+
+def equal_and_zero_rows(rng, n, m, equal=False, zero=False):
+    mu = crandn(rng, n, m)
+    if equal:
+        i, j = rng.choice(n, 2, replace=False)
+        mu[j] = mu[i]
+    if zero:
+        mu[rng.integers(n)] = 0.0
+    return SystemSpec(n, m, crandn(rng, n), mu)
+
+
+class TestPivotSelection:
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_builtins(self, monkeypatch, name):
+        scenario = builtin_scenario(name)
+        assert_matches_scipy(monkeypatch, scenario.system, scenario.target)
+
+    def test_random_blocks(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        for n in range(2, 8):
+            for m in range(1, n + 1):
+                for _ in range(4):
+                    system = SystemSpec(n, m, crandn(rng, n), crandn(rng, n, m))
+                    assert_matches_scipy(monkeypatch, system,
+                                         random_target(rng, m))
+
+    def test_equal_rows_tie_follows_lapack_order(self, monkeypatch):
+        # rows 1 and 2 tie after row 3 is taken; LAPACK has swapped row 1
+        # behind row 2 by then, so row 2 wins, not the lower index
+        rng = np.random.default_rng(32)
+        a, b = crandn(rng, 2), 3.0 * crandn(rng, 2)
+        system = SystemSpec(4, 2, crandn(rng, 4), np.array([a, a, b, 0.5 * a]))
+        report = check_feasibility(system, TargetSpec.basis(2))
+        assert report.selected_rows == (2, 3)
+        assert_matches_scipy(monkeypatch, system, TargetSpec.basis(2))
+
+    @pytest.mark.parametrize("mu", [
+        [[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]],
+        [[0.0, 0.0], [1.0, 2.0], [1.0, 2.0], [3.0, 1.0]],
+        [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]],
+        [[0.0, 0.0], [0.0, 0.0]],
+    ], ids=["equal-around-zero", "zero-and-equal", "zero-between", "all-zero"])
+    def test_hand_built_rank_deficient(self, monkeypatch, mu):
+        mu = np.array(mu, dtype=complex)
+        n, m = mu.shape
+        system = SystemSpec(n, m, np.ones(n), mu)
+        assert_matches_scipy(monkeypatch, system, TargetSpec.basis(m))
+
+    @pytest.mark.parametrize("equal,zero", [(False, True), (True, False),
+                                            (True, True)],
+                             ids=["zero-row", "equal-rows", "both"])
+    def test_random_rank_deficient(self, monkeypatch, equal, zero):
+        rng = np.random.default_rng(33)
+        for n in range(2, 8):
+            for m in range(1, n + 1):
+                for _ in range(4):
+                    system = equal_and_zero_rows(rng, n, m, equal, zero)
+                    assert_matches_scipy(monkeypatch, system,
+                                         random_target(rng, m))
 
 
 class TestDesignFields:

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from stirapkit import (FieldSet, PropagationConfig, StateVector, SystemSpec,
-                       TargetSpec, adiabaticity_report, analytic_lambda1,
-                       builtin_scenario, evolve_state, ground_state,
-                       matched_pump_rabi, populations, propagate)
+import stirapkit.propagation
+from stirapkit import (FieldSet, PropagationConfig, PropagationError,
+                       StateVector, SystemSpec, TargetSpec,
+                       adiabaticity_report, analytic_lambda1, builtin_scenario,
+                       evolve_state, ground_state, matched_pump_rabi,
+                       populations, propagate)
 
-from helpers import (crandn, random_designed_fields, random_feasible_system,
-                     rk4_evolve)
+from helpers import (crandn, nan_solve_ivp, random_designed_fields,
+                     random_feasible_system, rk4_evolve)
 
 
 def three_level(rabi=60.0):
@@ -113,6 +115,19 @@ class TestPropagate:
         with pytest.warns(UserWarning, match="window"):
             propagate(system, fields, ground_state(system), cfg)
 
+    def test_nan_state_fails(self, monkeypatch):
+        # NaN compares false with everything, so it must not pass the norm check
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp", nan_solve_ivp)
+        system, fields = three_level()
+        with pytest.raises(PropagationError, match="norm"):
+            propagate(system, fields, ground_state(system))
+
+    def test_evolve_state_nan_fails(self, monkeypatch):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp", nan_solve_ivp)
+        system, fields = three_level()
+        with pytest.raises(PropagationError, match="non-finite"):
+            evolve_state(system, fields, ground_state(system, -4.0), 5.0)
+
     def test_sampling_grid(self):
         system, fields = three_level()
         cfg = PropagationConfig(output_stride=0.5)
@@ -154,6 +169,22 @@ class TestPopulations:
         p_x, p_y, p_f = populations(traj, target)
         assert p_f[0] == pytest.approx(1.0)
         assert p_y[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_split_matches_projection(self):
+        # a fig2-sized trajectory: 901 samples, seven intermediates, seven
+        # degenerate states
+        rng = np.random.default_rng(31)
+        states = crandn(rng, 901, 15)
+        coefficients = crandn(rng, 7)
+        target = TargetSpec(coefficients / np.linalg.norm(coefficients))
+        p_x, p_y, p_f = stirapkit.propagation._split_populations(
+            states, 7, 7, target)
+        y = states[:, 8:]
+        expected = np.abs(y @ target.coefficients.conj()) ** 2
+        assert np.allclose(p_f, expected, rtol=1e-13, atol=0.0)
+        assert np.allclose(p_y, (np.abs(y) ** 2).sum(axis=1) - expected,
+                           rtol=0.0, atol=1e-12)
+        assert np.allclose(p_x, (np.abs(states[:, 1:8]) ** 2).sum(axis=1))
 
     def test_target_length_checked(self):
         system, fields = three_level()

@@ -8,10 +8,12 @@ import jsonschema
 import numpy as np
 import pytest
 
-from stirapkit import (ScenarioError, builtin_names, builtin_scenario,
-                       config_hash, load_scenario, run, scenario_to_dict,
-                       sweep)
+from stirapkit import (ScenarioError, TargetSpec, Trajectory, builtin_names,
+                       builtin_scenario, config_hash, load_scenario, run,
+                       scenario_to_dict, sweep, write_trajectory_csv)
 from stirapkit.scenarios import SCENARIO_SCHEMA, Bounds, _check_bounds
+
+from helpers import trajectory_csv_oracle
 
 # Reference parameter tables (peak amplitudes in units of one over the
 # width), frozen here independently of the package's own copies.
@@ -232,6 +234,29 @@ class TestRun:
         stored = json.loads(json_path.read_text())
         assert stored["summary"]["final_p_f"] == record.final_p_f
         assert stored["config_hash"] == record.config_hash
+
+    def test_csv_bytes_match_oracle_fig2(self, tmp_path):
+        _, traj = run(builtin_scenario("fig2"), out_dir=tmp_path)
+        assert (tmp_path / "fig2.csv").read_bytes() == trajectory_csv_oracle(traj)
+
+    def test_csv_bytes_match_oracle_random(self, tmp_path):
+        # magnitudes from subnormal to large, exact zeros and integers
+        rng = np.random.default_rng(41)
+        samples, n, m = 37, 3, 2
+        pops = rng.random((samples, 1 + n + m)) * 10.0 ** rng.integers(
+            -320, 3, (samples, 1 + n + m))
+        pops[::5, 2] = 0.0
+        pops[1::7, 1] = 1.0
+        aggregates = [rng.random(samples) * 10.0 ** rng.integers(-17, 1, samples)
+                      for _ in range(4)]
+        traj = Trajectory(
+            times=np.linspace(-7.3, 9.1, samples), states=np.sqrt(pops),
+            populations=pops, p_x=aggregates[0], p_y=aggregates[1],
+            p_f=aggregates[2], norm_error=aggregates[3], n_intermediate=n,
+            n_degenerate=m, width=1.7, target=TargetSpec.basis(m))
+        path = tmp_path / "random.csv"
+        write_trajectory_csv(traj, path)
+        assert path.read_bytes() == trajectory_csv_oracle(traj)
 
     def test_summary_values_in_range(self):
         record, _ = run(load_scenario_from(small_scenario_dict()))
