@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 declared bound violated (or verification failed),
-3 infeasible design, 4 numerical failure; scenario-file problems exit 1.
+3 infeasible design, 4 numerical failure; scenario-file problems and bad
+flags exit 1.  A sweep exits with the worst code among its entries.
 """
 
-import dataclasses
 import json
 import sys
 
@@ -12,8 +12,9 @@ import click
 
 from .design import DesignError, check_feasibility, verify_design
 from .propagation import PropagationError
-from .scenarios import (RunRecord, ScenarioError, SWEEP_AXES, builtin_names,
-                        load_scenario, run as run_scenario, sweep as run_sweep)
+from .scenarios import (RunRecord, ScenarioError, SweepEntry, SWEEP_AXES,
+                        builtin_names, load_scenario, run as run_scenario,
+                        sweep as run_sweep)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -21,17 +22,38 @@ EXIT_BOUNDS = 2
 EXIT_INFEASIBLE = 3
 EXIT_NUMERICAL = 4
 
+# How every command reports a failure: the first row whose class matches
+# gives the message prefix and the exit code.
+_FAILURES = ((ScenarioError, "error", EXIT_ERROR),
+             (DesignError, "infeasible design", EXIT_INFEASIBLE),
+             (PropagationError, "numerical failure", EXIT_NUMERICAL))
 
-def _load(scenario_ref: str):
-    try:
-        return load_scenario(scenario_ref)
-    except ScenarioError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
+
+class _Commands(click.Group):
+    """Reports a failure listed in ``_FAILURES`` and exits with its code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except tuple(cls for cls, _, _ in _FAILURES) as exc:
+            prefix, code = next((prefix, code) for cls, prefix, code
+                                in _FAILURES if isinstance(exc, cls))
+            click.echo(f"{prefix}: {exc}", err=True)
+            ctx.exit(code)
+
+
+def _entry_exit_code(entry: SweepEntry) -> int:
+    if entry.record is not None:
+        return EXIT_OK if entry.record.bounds_ok else EXIT_BOUNDS
+    # a failed entry's status reads "<exception class>: <message>"; plain
+    # ValueErrors and RuntimeErrors, which the sweep also records, count as
+    # numerical failures
+    return next((code for cls, _, code in _FAILURES
+                 if entry.status.startswith(f"{cls.__name__}:")),
+                EXIT_NUMERICAL)
 
 
 def _apply_flags(scenario, window, rel_tol, abs_tol, stride):
-    cfg = scenario.propagation
     updates = {}
     if window is not None:
         updates["t_start"], updates["t_end"] = window
@@ -41,10 +63,7 @@ def _apply_flags(scenario, window, rel_tol, abs_tol, stride):
         updates["abs_tol"] = abs_tol
     if stride is not None:
         updates["output_stride"] = stride
-    if updates:
-        cfg = dataclasses.replace(cfg, **updates)
-        scenario = dataclasses.replace(scenario, propagation=cfg)
-    return scenario
+    return scenario.with_propagation(**updates)
 
 
 def _echo_record(record: RunRecord) -> None:
@@ -67,14 +86,7 @@ def _echo_record(record: RunRecord) -> None:
 
 
 def _run_one(scenario, out_dir):
-    try:
-        record, _ = run_scenario(scenario, out_dir)
-    except DesignError as exc:
-        click.echo(f"infeasible design: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
-    except PropagationError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+    record, _ = run_scenario(scenario, out_dir)
     _echo_record(record)
     if not record.bounds_ok:
         sys.exit(EXIT_BOUNDS)
@@ -94,7 +106,7 @@ _out_option = click.option("--out", "out_dir",
                            help="Directory for trajectory and summary files.")
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main():
     """Design and simulate adiabatic transfer into degenerate manifolds."""
 
@@ -105,17 +117,11 @@ def main():
               default=None, help="Write the report as JSON to this file.")
 def design(scenario_ref, out_file):
     """Emit the feasibility/design report for SCENARIO_REF."""
-    scenario = _load(scenario_ref)
+    scenario = load_scenario(scenario_ref)
     report = check_feasibility(scenario.system, scenario.target)
     fields = None
-    if scenario.fields is not None:
-        fields = scenario.fields
-    elif report.feasible:
-        try:
-            fields = scenario.resolve_fields()
-        except DesignError as exc:
-            click.echo(f"infeasible design: {exc}", err=True)
-            sys.exit(EXIT_INFEASIBLE)
+    if scenario.fields is not None or report.feasible:
+        fields = scenario.resolve_fields()
     payload = {
         "label": scenario.label,
         "feasible": report.feasible,
@@ -147,12 +153,8 @@ def design(scenario_ref, out_file):
 @click.argument("scenario_ref")
 def verify(scenario_ref):
     """Check the pump/Stokes phase-matching condition of SCENARIO_REF."""
-    scenario = _load(scenario_ref)
-    try:
-        fields = scenario.resolve_fields()
-    except DesignError as exc:
-        click.echo(f"infeasible design: {exc}", err=True)
-        sys.exit(EXIT_INFEASIBLE)
+    scenario = load_scenario(scenario_ref)
+    fields = scenario.resolve_fields()
     verdict = verify_design(scenario.system, fields, scenario.target)
     click.echo(f"verified: {verdict.ok}")
     click.echo(f"residual: {verdict.residual:.6e}")
@@ -172,8 +174,8 @@ def verify(scenario_ref):
 @_out_option
 def run_cmd(scenario_ref, window, rel_tol, abs_tol, stride, out_dir):
     """Execute one scenario: design/verify, propagate, check bounds."""
-    scenario = _apply_flags(_load(scenario_ref), window, rel_tol, abs_tol,
-                            stride)
+    scenario = _apply_flags(load_scenario(scenario_ref), window, rel_tol,
+                            abs_tol, stride)
     _run_one(scenario, out_dir)
 
 
@@ -186,7 +188,8 @@ def run_cmd(scenario_ref, window, rel_tol, abs_tol, stride, out_dir):
 @_out_option
 def reproduce(name, window, rel_tol, abs_tol, stride, out_dir):
     """Run one of the built-in reference scenarios."""
-    scenario = _apply_flags(_load(name), window, rel_tol, abs_tol, stride)
+    scenario = _apply_flags(load_scenario(name), window, rel_tol, abs_tol,
+                            stride)
     _run_one(scenario, out_dir)
 
 
@@ -202,55 +205,22 @@ def reproduce(name, window, rel_tol, abs_tol, stride, out_dir):
 @_out_option
 def sweep_cmd(scenario_ref, axis, values, pump_index, jobs, out_dir):
     """Run SCENARIO_REF once per axis value and tabulate the results."""
-    scenario = _load(scenario_ref)
+    scenario = load_scenario(scenario_ref)
     try:
         parsed = [float(v) for v in values.split(",") if v.strip()]
     except ValueError:
-        click.echo(f"error: could not parse --values {values!r}", err=True)
-        sys.exit(EXIT_ERROR)
-    try:
-        entries = run_sweep(scenario, axis, parsed, pump_index=pump_index,
-                            jobs=jobs, out_dir=out_dir)
-    except ScenarioError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_ERROR)
-
-    header = (f"{'value':>12}  {'max_P_x':>12}  {'max_P_y':>12}  "
-              f"{'final_P_f':>12}  {'1-P_f':>12}  status")
-    click.echo(header)
-    rows = []
-    worst = EXIT_OK
+        raise ScenarioError(f"could not parse --values {values!r}") from None
+    entries = run_sweep(scenario, axis, parsed, pump_index=pump_index,
+                        jobs=jobs, out_dir=out_dir)
+    click.echo(f"{'value':>12}  {'max_P_x':>12}  {'max_P_y':>12}  "
+               f"{'final_P_f':>12}  {'1-P_f':>12}  status")
     for entry in entries:
-        if entry.record is not None:
-            rec = entry.record
-            status = "ok" if rec.bounds_ok else "bound-violation"
-            if not rec.bounds_ok:
-                worst = max(worst, EXIT_BOUNDS)
-            click.echo(f"{entry.value:>12g}  {rec.max_p_x:>12.4e}  "
-                       f"{rec.max_p_y:>12.4e}  {rec.final_p_f:>12.8f}  "
-                       f"{1.0 - rec.final_p_f:>12.4e}  {status}")
-            rows.append([entry.value, rec.max_p_x, rec.max_p_y, rec.final_p_f,
-                         1.0 - rec.final_p_f, status])
-        else:
-            status = entry.error or "failed"
-            if status.startswith("DesignError"):
-                worst = max(worst, EXIT_INFEASIBLE)
-            else:
-                worst = max(worst, EXIT_NUMERICAL)
-            click.echo(f"{entry.value:>12g}  {'-':>12}  {'-':>12}  {'-':>12}  "
-                       f"{'-':>12}  {status}")
-            rows.append([entry.value, "", "", "", "", status])
-    if out_dir:
-        import csv
-        from pathlib import Path
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.csv", "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["value", "max_p_x", "max_p_y", "final_p_f",
-                             "one_minus_p_f", "status"])
-            writer.writerows(rows)
-    sys.exit(worst)
+        rec = entry.record
+        numbers = ([f"{'-':>12}"] * 4 if rec is None else
+                   [f"{rec.max_p_x:>12.4e}", f"{rec.max_p_y:>12.4e}",
+                    f"{rec.final_p_f:>12.8f}", f"{1.0 - rec.final_p_f:>12.4e}"])
+        click.echo("  ".join([f"{entry.value:>12g}", *numbers, entry.status]))
+    sys.exit(max(map(_entry_exit_code, entries)))
 
 
 if __name__ == "__main__":

@@ -72,6 +72,18 @@ class TargetSpec:
         coeff[index - 1] = 1.0
         return cls(coeff)
 
+    @classmethod
+    def resolve(cls, target: "TargetSpec | None",
+                n_degenerate: int) -> "TargetSpec":
+        """``target`` checked against an M-fold manifold; None means the last state."""
+        if target is None:
+            return cls.basis(n_degenerate)
+        if target.n_degenerate != n_degenerate:
+            raise ValueError(
+                f"target has {target.n_degenerate} coefficients, "
+                f"system has {n_degenerate} degenerate states")
+        return target
+
     @property
     def n_degenerate(self) -> int:
         return self.coefficients.size
@@ -102,20 +114,13 @@ class VerifyResult(NamedTuple):
     pruned: frozenset[int]
 
 
-def _check_target(system: SystemSpec, target: TargetSpec) -> None:
-    if target.n_degenerate != system.n_degenerate:
-        raise ValueError(
-            f"target has {target.n_degenerate} coefficients, "
-            f"system has {system.n_degenerate} degenerate states")
-
-
 def effective_dipoles(system: SystemSpec, target: TargetSpec) -> np.ndarray:
     """Dipole couplings of each intermediate state to the target direction.
 
     Component k is ``sum_j c_j * mu_stokes[k, j]``; for a pure basis target
     this is just the corresponding column of the Stokes dipole matrix.
     """
-    _check_target(system, target)
+    target = TargetSpec.resolve(target, system.n_degenerate)
     return system.mu_stokes @ target.coefficients
 
 
@@ -160,7 +165,6 @@ def check_feasibility(system: SystemSpec, target: TargetSpec,
     nonsingular one whenever the matrix has full column rank.  Infeasibility
     is reported, never raised.
     """
-    _check_target(system, target)
     n, m = system.n_intermediate, system.n_degenerate
     effective = effective_dipoles(system, target)
     pruned = _pruned_indices(effective)
@@ -179,6 +183,8 @@ def check_feasibility(system: SystemSpec, target: TargetSpec,
     hadamard = float(np.prod(np.linalg.norm(block, axis=1)))
     singular = hadamard == 0.0 or abs(det) < SINGULAR_REL_TOL * hadamard
     if singular:
+        # the last pivots fell among roundoff-level residuals: no block to name
+        rows = ()
         notes.append("every square Stokes sub-block is singular; "
                      "the dark state cannot be pinned to the target direction")
     if len(pruned) == n:
@@ -266,13 +272,8 @@ def verify_design(system: SystemSpec, fields: FieldSet,
     fails when the fitted pump amplitudes are indistinguishable from zero,
     since the condition requires a nonzero ratio.
     """
-    if (system.n_intermediate != fields.n_intermediate
-            or system.n_degenerate != fields.n_degenerate):
-        raise ValueError("field set shape does not match system")
-    if target is None:
-        target = TargetSpec.basis(fields.n_degenerate)
-    elif target.n_degenerate != fields.n_degenerate:
-        raise ValueError("target length does not match field set")
+    system.check_fields(fields)
+    target = TargetSpec.resolve(target, system.n_degenerate)
 
     effective = fields.peak_rabi_stokes @ target.coefficients
     pump_conj = np.conj(fields.peak_rabi_pump)

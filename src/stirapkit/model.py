@@ -77,31 +77,34 @@ class SystemSpec:
     def dim(self) -> int:
         return 1 + self.n_intermediate + self.n_degenerate
 
+    def check_fields(self, fields: "FieldSet") -> None:
+        """Raise ValueError unless ``fields`` has N pumps and an N x M Stokes block."""
+        shape = (fields.n_intermediate, fields.n_degenerate)
+        if shape != (self.n_intermediate, self.n_degenerate):
+            raise ValueError(f"field set shaped {shape} does not match system "
+                             f"({self.n_intermediate}, {self.n_degenerate})")
+
 
 @dataclass(frozen=True)
 class PulseSpec:
     """One Gaussian laser pulse.
 
-    ``carrier`` is retained as metadata only; the interaction-picture dynamics
-    depend on the envelope and phase alone.  Pump pulses must be delayed by
-    exactly one width, Stokes pulses must be centred at t = 0; the envelope
-    centres are hard-wired into the model and other delays are rejected at
-    field-set construction.
+    The interaction-picture dynamics depend on the envelope and phase alone.
+    Pump pulses must be delayed by exactly one width, Stokes pulses must be
+    centred at t = 0; the envelope centres are hard-wired into the model and
+    other delays are rejected at field-set construction.
     """
 
     peak_field: float
     phase: float
     width: float
     delay: float
-    carrier: float = 0.0
 
     def __post_init__(self):
         if self.width <= 0:
             raise ValueError("pulse width must be positive")
         if self.peak_field < 0:
             raise ValueError("peak field amplitude must be nonnegative")
-        if self.carrier < 0:
-            raise ValueError("carrier frequency must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -271,11 +274,7 @@ def hamiltonian(system: SystemSpec, fields: FieldSet, t: float) -> np.ndarray:
     amplitudes; every other entry, including the whole diagonal, is exactly
     zero (resonant couplings, no intermediate-intermediate coupling).
     """
-    if (system.n_intermediate != fields.n_intermediate
-            or system.n_degenerate != fields.n_degenerate):
-        raise ValueError(
-            f"field set shaped ({fields.n_intermediate}, {fields.n_degenerate}) does not "
-            f"match system ({system.n_intermediate}, {system.n_degenerate})")
+    system.check_fields(fields)
     h_pump, h_stokes = coupling_blocks(fields)
     return (pump_envelope(t, fields.width) * h_pump
             + stokes_envelope(t, fields.width) * h_stokes)

@@ -239,8 +239,7 @@ def analytic_lambda1(system: SystemSpec, fields: FieldSet, t: float,
     it rides from the initial state into the target direction as the pulse
     pair sweeps through, and ``H @ vector`` vanishes identically.
     """
-    if target is None:
-        target = TargetSpec.basis(fields.n_degenerate)
+    target = TargetSpec.resolve(target, system.n_degenerate)
     result = verify_design(system, fields, target)
     if not result.ok:
         raise DesignError(
@@ -423,8 +422,6 @@ def analytic_pair_tracks(system: SystemSpec, fields: FieldSet, grid,
     physical basis labels, so the coupling between the pair retains the
     finite value responsible for leakage inside the manifold.
     """
-    if target is None:
-        target = TargetSpec.basis(fields.n_degenerate)
     if partner_direction is None:
         _, singular, vh = np.linalg.svd(fields.peak_rabi_stokes)
         rank = int((singular > 1e-12 * singular[0]).sum())

@@ -19,7 +19,7 @@ import numpy as np
 
 from .design import TargetSpec
 from .model import (FieldSet, StateVector, SystemSpec, coupling_blocks,
-                    pump_envelope, stokes_envelope)
+                    ground_state, pump_envelope, stokes_envelope)
 
 __all__ = [
     "PropagationError",
@@ -139,14 +139,6 @@ class AdiabaticityReport:
         return all(b <= a for a, b in zip(values, values[1:]))
 
 
-def _resolve_target(fields: FieldSet, target: TargetSpec | None) -> TargetSpec:
-    if target is None:
-        return TargetSpec.basis(fields.n_degenerate)
-    if target.n_degenerate != fields.n_degenerate:
-        raise ValueError("target length does not match the degenerate manifold")
-    return target
-
-
 def _split_populations(states: np.ndarray, n: int, m: int,
                        target: TargetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y = states[:, 1 + n:]
@@ -194,6 +186,9 @@ def _integrate(fields: FieldSet, psi0: np.ndarray, t_from: float, t_to: float,
                     t_eval=t_eval)
     if not sol.success:
         raise PropagationError(f"integration failed: {sol.message}")
+    if not np.isfinite(sol.y).all():
+        raise PropagationError("integration produced a non-finite state (norm "
+                               f"{np.linalg.norm(sol.y, axis=0).max():.3e})")
     return sol
 
 
@@ -217,10 +212,8 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
     """
     if config is None:
         config = PropagationConfig()
-    if (system.n_intermediate != fields.n_intermediate
-            or system.n_degenerate != fields.n_degenerate):
-        raise ValueError("field set shape does not match system")
-    target = _resolve_target(fields, target)
+    system.check_fields(fields)
+    target = TargetSpec.resolve(target, system.n_degenerate)
     psi0 = np.asarray(initial.components, dtype=complex)
     if psi0.shape != (system.dim,):
         raise ValueError(f"initial state must have {system.dim} components")
@@ -275,10 +268,7 @@ def evolve_state(system: SystemSpec, fields: FieldSet, state: StateVector,
         raise ValueError(f"state must have {system.dim} components")
     step = (max_step if max_step is not None else DEFAULT_MAX_STEP) * fields.width
     sol = _integrate(fields, psi0, state.time, t_to, rel_tol, abs_tol, step)
-    final = sol.y[:, -1]
-    if not np.isfinite(final).all():
-        raise PropagationError("integration produced a non-finite state")
-    return StateVector(final, t_to)
+    return StateVector(sol.y[:, -1], t_to)
 
 
 def populations(trajectory: Trajectory, target: TargetSpec,
@@ -289,8 +279,7 @@ def populations(trajectory: Trajectory, target: TargetSpec,
     population orthogonal to it, ``p_x`` the intermediate total.  Lets one
     trajectory be analyzed against any target after the fact.
     """
-    if target.n_degenerate != trajectory.n_degenerate:
-        raise ValueError("target length does not match the trajectory")
+    target = TargetSpec.resolve(target, trajectory.n_degenerate)
     return _split_populations(trajectory.states, trajectory.n_intermediate,
                               trajectory.n_degenerate, target)
 
@@ -313,12 +302,8 @@ def adiabaticity_report(system: SystemSpec, fields: FieldSet,
     rungs = []
     for factor in width_factors:
         stretched = fields.with_width(fields.width * factor)
-        if initial is None:
-            psi0 = np.zeros(system.dim, dtype=complex)
-            psi0[0] = 1.0
-            start = StateVector(psi0, config.t_start * stretched.width)
-        else:
-            start = initial
+        start = (ground_state(system, config.t_start * stretched.width)
+                 if initial is None else initial)
         traj = propagate(system, stretched, start, config, target)
         rungs.append(LadderRung(float(factor), traj.max_p_x, traj.max_p_y,
                                 1.0 - traj.final_p_f))

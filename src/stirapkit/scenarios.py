@@ -210,6 +210,14 @@ class Scenario:
             raise ScenarioError(
                 "scenario needs exactly one of 'fields' or 'design'")
 
+    def with_propagation(self, **settings) -> "Scenario":
+        """Copy with some propagation settings replaced, each checked."""
+        try:
+            config = dataclasses.replace(self.propagation, **settings)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"propagation config: {exc}") from exc
+        return dataclasses.replace(self, propagation=config)
+
     def resolve_fields(self) -> FieldSet:
         if self.fields is not None:
             return self.fields
@@ -274,6 +282,13 @@ class SweepEntry:
     value: float
     record: RunRecord | None
     error: str | None = None
+
+    @property
+    def status(self) -> str:
+        """``ok``, ``bound-violation`` or the error that stopped the run."""
+        if self.record is None:
+            return self.error or "failed"
+        return "ok" if self.record.bounds_ok else "bound-violation"
 
 
 # ---------------------------------------------------------------------------
@@ -380,31 +395,27 @@ def load_scenario(path) -> Scenario:
     raise ScenarioError(f"no scenario file or built-in named {path!r}")
 
 
-def _apply_overrides(fields_dict: dict, overrides: list[dict],
-                     n: int, m: int) -> dict:
-    pump = [_to_complex(v) for v in fields_dict["peak_rabi_pump"]]
-    stokes = [[_to_complex(v) for v in row]
-              for row in fields_dict["peak_rabi_stokes"]]
+def _apply_overrides(fields: FieldSet, overrides: list[dict]) -> FieldSet:
+    pump = fields.peak_rabi_pump.copy()
+    stokes = fields.peak_rabi_stokes.copy()
+    n, m = stokes.shape
     for entry in overrides:
         k = entry["k"]
         value = _to_complex(entry["value"])
         if entry["pulse"] == "pump":
             if "j" in entry:
-                raise ScenarioError("pump overrides take no 'j' index")
+                raise ValueError("pump overrides take no 'j' index")
             if not 1 <= k <= n:
-                raise ScenarioError(f"unknown override index: pump k={k}")
+                raise ValueError(f"unknown override index: pump k={k}")
             pump[k - 1] = value
         else:
             j = entry.get("j")
             if j is None:
-                raise ScenarioError("stokes overrides need a 'j' index")
+                raise ValueError("stokes overrides need a 'j' index")
             if not (1 <= k <= n and 1 <= j <= m):
-                raise ScenarioError(f"unknown override index: stokes k={k}, j={j}")
-            stokes[k - 1][j - 1] = value
-    out = dict(fields_dict)
-    out["peak_rabi_pump"] = [_from_complex(v) for v in pump]
-    out["peak_rabi_stokes"] = [[_from_complex(v) for v in row] for row in stokes]
-    return out
+                raise ValueError(f"unknown override index: stokes k={k}, j={j}")
+            stokes[k - 1, j - 1] = value
+    return FieldSet(pump, stokes, fields.width)
 
 
 def _scenario_from_dict(raw: dict) -> Scenario:
@@ -421,38 +432,23 @@ def _scenario_from_dict(raw: dict) -> Scenario:
             mu_pump=_complex_vector(sys_raw["mu_pump"]),
             mu_stokes=_complex_matrix(sys_raw["mu_stokes"]),
         )
-        target = TargetSpec(_complex_vector(raw["target"]))
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from exc
-    if target.n_degenerate != system.n_degenerate:
-        raise ScenarioError("target length does not match n_degenerate")
-
-    has_fields = "fields" in raw
-    has_design = "design" in raw
-    if has_fields == has_design:
-        raise ScenarioError("scenario needs exactly one of 'fields' or 'design'")
-    overrides = raw.get("overrides", [])
-
-    fields = None
-    design = None
-    if has_fields:
-        fdict = dict(raw["fields"])
-        fdict.setdefault("width", 1.0)
-        if overrides:
-            fdict = _apply_overrides(fdict, overrides,
-                                     system.n_intermediate, system.n_degenerate)
-        try:
+        target = TargetSpec.resolve(TargetSpec(_complex_vector(raw["target"])),
+                                    system.n_degenerate)
+        fields = None
+        if "fields" in raw:
+            fdict = raw["fields"]
             fields = FieldSet(_complex_vector(fdict["peak_rabi_pump"]),
                               _complex_matrix(fdict["peak_rabi_stokes"]),
-                              fdict["width"])
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
-        if (fields.n_intermediate != system.n_intermediate
-                or fields.n_degenerate != system.n_degenerate):
-            raise ScenarioError("field shapes do not match the system")
-    else:
-        if overrides:
-            raise ScenarioError("overrides require direct 'fields'")
+                              fdict.get("width", 1.0))
+            system.check_fields(fields)
+            fields = _apply_overrides(fields, raw.get("overrides", []))
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
+    if fields is None and raw.get("overrides"):
+        raise ScenarioError("overrides require direct 'fields'")
+
+    design = None
+    if "design" in raw:
         ddict = raw["design"]
         amplitudes = tuple(float(a) for a in ddict["stokes_amplitudes"])
         if len(amplitudes) != system.n_intermediate:
@@ -472,10 +468,6 @@ def _scenario_from_dict(raw: dict) -> Scenario:
     prop_raw = dict(raw.get("propagation", {}))
     if "stride" in prop_raw:
         prop_raw["output_stride"] = prop_raw.pop("stride")
-    try:
-        propagation = PropagationConfig(**prop_raw)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"propagation config: {exc}") from exc
 
     bounds_raw = raw.get("bounds", {})
     bounds = Bounds(max_p_x=bounds_raw.get("max_p_x"),
@@ -483,8 +475,9 @@ def _scenario_from_dict(raw: dict) -> Scenario:
                     min_final_p_f=bounds_raw.get("min_final_p_f"))
 
     return Scenario(label=raw["label"], system=system, target=target,
-                    fields=fields, design=design, propagation=propagation,
-                    bounds=bounds)
+                    fields=fields, design=design,
+                    propagation=PropagationConfig(),
+                    bounds=bounds).with_propagation(**prop_raw)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -576,6 +569,23 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
         handle.write(line * len(table) % tuple(table.ravel().tolist()))
+
+
+def _write_sweep_csv(entries: list[SweepEntry], out_dir) -> None:
+    """One row per sweep entry; a failed entry leaves its numbers empty."""
+    import csv  # only sweeps with an output directory need it
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "sweep.csv", "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["value", "max_p_x", "max_p_y", "final_p_f",
+                         "one_minus_p_f", "status"])
+        for entry in entries:
+            rec = entry.record
+            numbers = (["", "", "", ""] if rec is None else
+                       [rec.max_p_x, rec.max_p_y, rec.final_p_f,
+                        1.0 - rec.final_p_f])
+            writer.writerow([entry.value, *numbers, entry.status])
 
 
 def _slug(label: str) -> str:
@@ -679,8 +689,10 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
     Axes: ``width`` (stretch all pulses), ``amplitude-scale`` (scale all peak
     amplitudes), ``phase-perturbation`` (rotate one pump phase by the value,
     in radians), ``eta`` (re-derive the pump set from the Stokes block at the
-    given ratio).  Entries execute in a process pool and are returned in
-    input order.
+    given ratio).  With more than one job the entries execute in a process
+    pool; either way they are returned in input order.  When ``out_dir`` is
+    given, each run writes its files there and ``sweep.csv`` tabulates all
+    entries.
     """
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -693,6 +705,10 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
     if jobs is None:
         jobs = min(len(tasks), os.cpu_count() or 1)
     if jobs <= 1:
-        return [_sweep_worker(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_sweep_worker, tasks))
+        entries = [_sweep_worker(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            entries = list(pool.map(_sweep_worker, tasks))
+    if out_dir is not None:
+        _write_sweep_csv(entries, out_dir)
+    return entries

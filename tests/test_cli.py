@@ -80,6 +80,17 @@ class TestRun:
         assert result.exit_code == 1
         assert "error" in result.output
 
+    @pytest.mark.parametrize("flag", [["--window", "5", "-4"],
+                                      ["--rel-tol", "-1"],
+                                      ["--stride", "nan"]],
+                             ids=["window", "rel-tol", "stride"])
+    def test_bad_propagation_flag(self, runner, tmp_path, flag):
+        ref = write_scenario(tmp_path, mini_dict())
+        result = runner.invoke(main, ["run", ref, *flag])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        assert "error: propagation config:" in result.output
+
     def test_flag_overrides(self, runner, tmp_path):
         ref = write_scenario(tmp_path, mini_dict())
         result = runner.invoke(main, [
@@ -174,6 +185,16 @@ class TestSweep:
         # the eta=0 entry is infeasible, the sweep still completes
         assert result.exit_code == 3
         assert "ScenarioError" in result.output or "DesignError" in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["--axis", "width", "--values=-1"],
+        ["--axis", "phase-perturbation", "--values", "1", "--pump-index", "9"],
+    ], ids=["negative-width", "unknown-pump"])
+    def test_scenario_error_entry_exits_1(self, runner, tmp_path, args):
+        ref = write_scenario(tmp_path, mini_dict())
+        result = runner.invoke(main, ["sweep", ref, *args, "--jobs", "1"])
+        assert result.exit_code == 1, result.output
+        assert "ScenarioError" in result.output
 
     def test_bad_values_string(self, runner, tmp_path):
         ref = write_scenario(tmp_path, mini_dict())

@@ -29,6 +29,25 @@ class TestTargetSpec:
         with pytest.raises(IndexError):
             TargetSpec.basis(3, 4)
 
+    def test_resolve(self):
+        assert np.array_equal(TargetSpec.resolve(None, 3).coefficients,
+                              TargetSpec.basis(3).coefficients)
+        target = TargetSpec.basis(2, 1)
+        assert TargetSpec.resolve(target, 2) is target
+
+    def test_every_caller_rejects_a_wrong_length_target(self):
+        system = SystemSpec(2, 2, [1, 1], [[1.0, 0.5], [0.3, 1.0]])
+        fields = design_fields(system, TargetSpec.basis(2), 1.0, 1.0,
+                               [2.0, 2.0])
+        wrong = TargetSpec.basis(3)
+        message = "target has 3 coefficients, system has 2 degenerate states"
+        for call in (lambda: check_feasibility(system, wrong),
+                     lambda: effective_dipoles(system, wrong),
+                     lambda: verify_design(system, fields, wrong),
+                     lambda: analytic_lambda1(system, fields, 0.0, wrong)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
 
 class TestEffectiveDipoles:
     def test_basis_target_picks_column(self):
@@ -86,6 +105,13 @@ class TestCheckFeasibility:
         assert report.feasible
         block = system.mu_stokes[[r - 1 for r in report.selected_rows], :]
         assert abs(np.linalg.det(block)) > 0.1
+
+    def test_singular_block_names_no_rows(self):
+        # rank 1 < M = 2: the second pivot falls among roundoff residuals
+        system = SystemSpec(3, 2, [1, 1, 1], [[1, 2], [0, 0], [1, 2]])
+        report = check_feasibility(system, TargetSpec.basis(2))
+        assert not report.feasible
+        assert report.selected_rows == ()
 
     def test_pruned_channels_reported(self):
         mu = np.array([[1.0, 0.0], [1.0, 2.0]])

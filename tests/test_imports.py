@@ -70,3 +70,16 @@ def test_scipy_loads_only_to_integrate(tmp_path):
     assert loaded["import"] == []
     assert loaded["design"] == []
     assert "scipy.integrate" in loaded["propagate"]
+
+
+def test_cli_import_leaves_csv_unloaded():
+    # only a sweep that writes its table needs csv, and it imports it then
+    src = str(Path(stirapkit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = "import sys, stirapkit, stirapkit.cli; print('csv' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -127,11 +127,11 @@ class TestPulseConversion:
         width = 1.7
         pump_pulses = [PulseSpec(peak_field=rng.uniform(0.5, 2.0),
                                  phase=rng.uniform(0, 2 * np.pi),
-                                 width=width, delay=width, carrier=5.0)
+                                 width=width, delay=width)
                        for _ in range(n)]
         stokes_pulses = [PulseSpec(peak_field=rng.uniform(0.5, 2.0),
                                    phase=rng.uniform(0, 2 * np.pi),
-                                   width=width, delay=0.0, carrier=3.0)
+                                   width=width, delay=0.0)
                          for _ in range(n)]
         converted = fieldset_from_pulses(system, pump_pulses, stokes_pulses)
 

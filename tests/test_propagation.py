@@ -7,8 +7,9 @@ import stirapkit.propagation
 from stirapkit import (FieldSet, PropagationConfig, PropagationError,
                        StateVector, SystemSpec, TargetSpec,
                        adiabaticity_report, analytic_lambda1, builtin_scenario,
-                       evolve_state, ground_state, matched_pump_rabi,
-                       populations, propagate)
+                       evolve_state, ground_state, hamiltonian,
+                       matched_pump_rabi, populations, propagate,
+                       verify_design)
 
 from helpers import (crandn, nan_solve_ivp, random_designed_fields,
                      random_feasible_system, rk4_evolve)
@@ -115,6 +116,16 @@ class TestPropagate:
         with pytest.warns(UserWarning, match="window"):
             propagate(system, fields, ground_state(system), cfg)
 
+    def test_every_caller_rejects_a_mismatched_field_set(self):
+        system = SystemSpec(2, 2, [1, 1], [[1, 1], [1, 1]])
+        fields = FieldSet([1.0], [[1.0]], 1.0)
+        message = r"field set shaped \(1, 1\) does not match system \(2, 2\)"
+        for call in (lambda: hamiltonian(system, fields, 0.0),
+                     lambda: verify_design(system, fields),
+                     lambda: propagate(system, fields, ground_state(system))):
+            with pytest.raises(ValueError, match=message):
+                call()
+
     def test_nan_state_fails(self, monkeypatch):
         # NaN compares false with everything, so it must not pass the norm check
         monkeypatch.setattr(stirapkit.propagation, "solve_ivp", nan_solve_ivp)
@@ -127,6 +138,19 @@ class TestPropagate:
         system, fields = three_level()
         with pytest.raises(PropagationError, match="non-finite"):
             evolve_state(system, fields, ground_state(system, -4.0), 5.0)
+
+    def test_non_finite_state_message(self, monkeypatch):
+        # tighter tolerances cannot repair a non-finite state
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp", nan_solve_ivp)
+        system, fields = three_level()
+        for call in (lambda: propagate(system, fields, ground_state(system)),
+                     lambda: evolve_state(system, fields,
+                                          ground_state(system, -4.0), 5.0)):
+            with pytest.raises(PropagationError) as failure:
+                call()
+            assert "non-finite state" in str(failure.value)
+            assert "norm" in str(failure.value)
+            assert "tighten" not in str(failure.value)
 
     def test_sampling_grid(self):
         system, fields = three_level()

@@ -186,6 +186,25 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="unknown override index"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("fields,override", [
+        # a 1-channel block in a 2-channel system, overridden on channel 2
+        ({"peak_rabi_pump": [60.0], "peak_rabi_stokes": [[60.0, 0.0]]},
+         {"pulse": "pump", "k": 2, "value": 1.0}),
+        ({"peak_rabi_pump": [60.0, 30.0],
+          "peak_rabi_stokes": [[60.0, 0.0], [0.0, 30.0]]},
+         {"pulse": "stokes", "k": 1, "j": 2, "value": math.nan}),
+    ], ids=["mismatched-block", "nan-value"])
+    def test_override_errors(self, tmp_path, fields, override):
+        raw = small_scenario_dict(fields=fields, overrides=[override])
+        raw["system"] = {"n_intermediate": 2, "n_degenerate": 2,
+                         "mu_pump": [1.0, 1.0],
+                         "mu_stokes": [[1.0, 0.0], [0.0, 1.0]]}
+        raw["target"] = [0.0, 1.0]
+        path = tmp_path / "ov3.json"
+        path.write_text(json.dumps(raw))  # writes a NaN literal
+        with pytest.raises(ScenarioError):
+            load_scenario(path)
+
     def test_fields_and_design_exclusive(self, tmp_path):
         raw = small_scenario_dict()
         raw["design"] = {"stokes_amplitudes": [2.0]}
@@ -212,6 +231,21 @@ class TestLoadScenario:
         path.write_text(json.dumps(raw))
         with pytest.raises(ScenarioError, match="target"):
             load_scenario(path)
+
+
+# The canonical form of the built-ins, pinned: these hashes depend on the
+# scenario JSON alone, not on the integrator.
+BUILTIN_HASHES = {
+    "fig2": "577186c20e5cb8e726ba856647ed717ebe142a2e958bfd09d97e9f562cefc6f5",
+    "fig3": "4ca513b9efd69ba84e5013be301e76d0bf887bc5c33ce6e5bfd303a8d50ee4aa",
+    "fig4": "270b1e9cfc6710ae8ba518a8ce2522775df7e7f5a38ac029eabdd46cfe985b5a",
+    "fig5": "6eeb4feb7dfec72696bcc2086d2d4ac638babf3102e862bb87161490b8826b65",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_HASHES))
+def test_builtin_config_hash_pinned(name):
+    assert config_hash(builtin_scenario(name)) == BUILTIN_HASHES[name]
 
 
 class TestRun:
@@ -346,6 +380,20 @@ class TestSweep:
         assert entries[0].record is None
         assert "eta" in entries[0].error
         assert entries[1].record is not None
+
+    def test_sweep_csv_lists_every_status(self, tmp_path):
+        raw = small_scenario_dict(bounds={"min_final_p_f": 0.9})
+        scenario = load_scenario_from(raw)
+        out = tmp_path / "new" / "dir"
+        entries = sweep(scenario, "width", [-1.0, 1.0, 0.02], jobs=1,
+                        out_dir=out)
+        statuses = ["ScenarioError: width factors must be positive", "ok",
+                    "bound-violation"]
+        assert [e.status for e in entries] == statuses
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "value,max_p_x,max_p_y,final_p_f,one_minus_p_f,status"
+        assert lines[1] == "-1.0,,,,," + statuses[0]
+        assert [line.split(",")[-1] for line in lines[2:]] == statuses[1:]
 
     def test_parallel_matches_serial(self):
         scenario = load_scenario_from(small_scenario_dict())
