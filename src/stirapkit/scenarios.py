@@ -644,29 +644,35 @@ def run(scenario: Scenario, out_dir=None) -> tuple[RunRecord, Trajectory]:
 def _derive_scenario(scenario: Scenario, axis: str, value: float,
                      pump_index: int) -> Scenario:
     fields = scenario.resolve_fields()
-    if axis == "width":
-        if value <= 0:
-            raise ScenarioError("width factors must be positive")
-        new_fields = fields.with_width(fields.width * value)
-        tag = f"width x{value:g}"
-    elif axis == "amplitude-scale":
-        new_fields = fields.scaled(value)
-        tag = f"amp x{value:g}"
-    elif axis == "phase-perturbation":
-        if not 1 <= pump_index <= fields.n_intermediate:
-            raise ScenarioError(f"unknown pump index {pump_index}")
-        pump = fields.peak_rabi_pump.copy()
-        pump[pump_index - 1] *= np.exp(1j * value)
-        new_fields = FieldSet(pump, fields.peak_rabi_stokes, fields.width)
-        tag = f"phase P{pump_index} +{value:g}"
-    elif axis == "eta":
-        pump = matched_pump_rabi(fields.peak_rabi_stokes, scenario.target,
-                                 complex(value))
-        new_fields = FieldSet(pump, fields.peak_rabi_stokes, fields.width)
-        tag = f"eta {value:g}"
-    else:
-        raise ScenarioError(f"unknown sweep axis {axis!r}; "
-                            f"choose from {SWEEP_AXES}")
+    pump, stokes, width = (fields.peak_rabi_pump, fields.peak_rabi_stokes,
+                           fields.width)
+    # a value that overflows an amplitude or the width is bad input; the
+    # FieldSet below rejects the non-finite result, so numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        if axis == "width":
+            if value <= 0:
+                raise ScenarioError("width factors must be positive")
+            width = width * value
+            tag = f"width x{value:g}"
+        elif axis == "amplitude-scale":
+            pump, stokes = pump * value, stokes * value
+            tag = f"amp x{value:g}"
+        elif axis == "phase-perturbation":
+            if not 1 <= pump_index <= fields.n_intermediate:
+                raise ScenarioError(f"unknown pump index {pump_index}")
+            pump = pump.copy()
+            pump[pump_index - 1] *= np.exp(1j * value)
+            tag = f"phase P{pump_index} +{value:g}"
+        elif axis == "eta":
+            pump = matched_pump_rabi(stokes, scenario.target, complex(value))
+            tag = f"eta {value:g}"
+        else:
+            raise ScenarioError(f"unknown sweep axis {axis!r}; "
+                                f"choose from {SWEEP_AXES}")
+    try:
+        new_fields = FieldSet(pump, stokes, width)
+    except ValueError as exc:
+        raise ScenarioError(f"{axis} {value:g}: {exc}") from exc
     return dataclasses.replace(scenario, label=f"{scenario.label}[{tag}]",
                                fields=new_fields, design=None)
 

@@ -66,29 +66,31 @@ def random_designed_fields(rng, system, target=None, rabi_scale=80.0,
     return fields.scaled(rabi_scale / mean), target, eta
 
 
-def rk4_evolve(pump_rabi, stokes_rabi, width, psi0, t0, t1, n_steps):
-    """Independent fixed-step RK4 integration of i dpsi/dt = H(t) psi.
+def raw_hamiltonian(pump_rabi, stokes_rabi, width, t):
+    """H(t) assembled entry by entry from the raw coupling arrays.
 
-    Builds the Hamiltonian from the raw coupling arrays on every evaluation:
-    no shared code with the package's propagator or model assembly.
+    No shared code with the package's propagator or model assembly.
     """
     pump_rabi = np.asarray(pump_rabi, dtype=complex)
     stokes_rabi = np.asarray(stokes_rabi, dtype=complex)
     n, m = stokes_rabi.shape
-    dim = 1 + n + m
+    h = np.zeros((1 + n + m, 1 + n + m), dtype=complex)
+    ep = np.exp(-((t - width) / width) ** 2)
+    es = np.exp(-((t / width) ** 2))
+    h[0, 1:1 + n] = pump_rabi * ep
+    h[1:1 + n, 0] = np.conj(pump_rabi) * ep
+    h[1:1 + n, 1 + n:] = stokes_rabi * es
+    h[1 + n:, 1:1 + n] = stokes_rabi.conj().T * es
+    return h
 
-    def h_of(t):
-        h = np.zeros((dim, dim), dtype=complex)
-        ep = np.exp(-((t - width) / width) ** 2)
-        es = np.exp(-((t / width) ** 2))
-        h[0, 1:1 + n] = pump_rabi * ep
-        h[1:1 + n, 0] = np.conj(pump_rabi) * ep
-        h[1:1 + n, 1 + n:] = stokes_rabi * es
-        h[1 + n:, 1:1 + n] = stokes_rabi.conj().T * es
-        return h
 
+def rk4_evolve(pump_rabi, stokes_rabi, width, psi0, t0, t1, n_steps):
+    """Independent fixed-step RK4 integration of i dpsi/dt = H(t) psi.
+
+    Builds the Hamiltonian with :func:`raw_hamiltonian` on every evaluation.
+    """
     def f(t, psi):
-        return -1j * (h_of(t) @ psi)
+        return -1j * (raw_hamiltonian(pump_rabi, stokes_rabi, width, t) @ psi)
 
     psi = np.asarray(psi0, dtype=complex).copy()
     h_step = (t1 - t0) / n_steps

@@ -82,8 +82,10 @@ class TestRun:
 
     @pytest.mark.parametrize("flag", [["--window", "5", "-4"],
                                       ["--rel-tol", "-1"],
-                                      ["--stride", "nan"]],
-                             ids=["window", "rel-tol", "stride"])
+                                      ["--stride", "nan"],
+                                      ["--stride", "1e-300"]],
+                             ids=["window", "rel-tol", "stride",
+                                  "stride-too-fine"])
     def test_bad_propagation_flag(self, runner, tmp_path, flag):
         ref = write_scenario(tmp_path, mini_dict())
         result = runner.invoke(main, ["run", ref, *flag])
@@ -189,7 +191,8 @@ class TestSweep:
     @pytest.mark.parametrize("args", [
         ["--axis", "width", "--values=-1"],
         ["--axis", "phase-perturbation", "--values", "1", "--pump-index", "9"],
-    ], ids=["negative-width", "unknown-pump"])
+        ["--axis", "amplitude-scale", "--values", "1e307"],
+    ], ids=["negative-width", "unknown-pump", "overflowing-amplitude"])
     def test_scenario_error_entry_exits_1(self, runner, tmp_path, args):
         ref = write_scenario(tmp_path, mini_dict())
         result = runner.invoke(main, ["sweep", ref, *args, "--jobs", "1"])

@@ -12,7 +12,7 @@ from stirapkit import (FieldSet, PropagationConfig, PropagationError,
                        verify_design)
 
 from helpers import (crandn, nan_solve_ivp, random_designed_fields,
-                     random_feasible_system, rk4_evolve)
+                     random_feasible_system, raw_hamiltonian, rk4_evolve)
 
 
 def three_level(rabi=60.0):
@@ -32,12 +32,44 @@ class TestConfig:
         with pytest.raises(ValueError):
             PropagationConfig(output_stride=-0.1)
 
+    def test_sample_count_capped(self):
+        # rejected while the config is built, before any grid is allocated
+        with pytest.raises(ValueError, match="samples"):
+            PropagationConfig(output_stride=1e-300)
+        with pytest.raises(ValueError, match="samples"):
+            PropagationConfig(t_start=-4.0, t_end=5.0, output_stride=8e-6)
+        PropagationConfig(t_start=-4.0, t_end=5.0, output_stride=1e-5)
+
     @pytest.mark.parametrize("setting", ["t_start", "t_end", "rel_tol",
                                          "abs_tol", "max_step", "output_stride"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_rejected(self, setting, bad):
         with pytest.raises(ValueError, match="finite"):
             PropagationConfig(**{setting: bad})
+
+
+class TestRightHandSide:
+    @pytest.mark.parametrize("case", ["random-n5-m3", "fig4"])
+    def test_matches_raw_hamiltonian(self, case):
+        # the stacked kernel against -i H(t) psi, with H(t) assembled from
+        # the raw coupling arrays: a complex-phase design with N > M, and
+        # fig4's zeroed couplings and pruned pumps
+        rng = np.random.default_rng(606)
+        if case == "fig4":
+            fields = builtin_scenario("fig4").resolve_fields()
+        else:
+            fields, _, _ = random_designed_fields(
+                rng, random_feasible_system(rng, 5, 3), width=1.7)
+        rhs = stirapkit.propagation._make_rhs(fields)
+        dim = 1 + fields.n_intermediate + fields.n_degenerate
+        for t in fields.width * rng.uniform(-4.0, 5.0, 40):
+            psi = crandn(rng, dim)
+            want = -1j * (raw_hamiltonian(fields.peak_rabi_pump,
+                                          fields.peak_rabi_stokes,
+                                          fields.width, t) @ psi)
+            got = rhs(t, psi)
+            assert got.shape == (dim,)
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 class TestPropagate:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import jsonschema
@@ -401,6 +402,16 @@ class TestSweep:
         parallel = sweep(scenario, "amplitude-scale", [1.0, 2.0], jobs=2)
         for a, b in zip(serial, parallel):
             assert a.record.summary_dict() == b.record.summary_dict()
+
+    @pytest.mark.parametrize("axis", ["amplitude-scale", "eta"])
+    def test_overflowing_value_is_bad_input(self, axis):
+        scenario = load_scenario_from(small_scenario_dict())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = sweep(scenario, axis, [1e307], jobs=1)
+        assert entries[0].record is None
+        assert entries[0].status == (f"ScenarioError: {axis} 1e+307: "
+                                     "peak_rabi_pump must be finite")
 
     def test_axis_validation(self):
         scenario = load_scenario_from(small_scenario_dict())
