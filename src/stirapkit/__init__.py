@@ -1,30 +1,27 @@
 """Pulse design and Schrodinger dynamics for adiabatic transfer into degenerate manifolds.
 
-The package splits into five parts: :mod:`~stirapkit.model` (system, pulses,
-dressed Hamiltonian), :mod:`~stirapkit.nullspace` (dark-state structure and
-nonadiabatic diagnostics), :mod:`~stirapkit.design` (field construction and
-feasibility), :mod:`~stirapkit.propagation` (time integration and population
-bookkeeping) and :mod:`~stirapkit.scenarios` (reproducible experiment runs,
-also exposed through the ``stirapkit`` command line).
-"""
+The package splits into five parts: :mod:`~stirapkit.model` (system, field
+set, Gaussian envelopes, dressed Hamiltonian), :mod:`~stirapkit.nullspace`
+(closed-form and SVD dark states, null-frame tracking, nonadiabatic
+coupling), :mod:`~stirapkit.design` (feasibility, phase-matched fields,
+verification), :mod:`~stirapkit.propagation` (time integration and
+population bookkeeping) and :mod:`~stirapkit.scenarios` (reproducible runs
+and parameter sweeps, the width ladder among them, also exposed through the
+``stirapkit`` command line)."""
 
-from .model import (FieldSet, PulseSpec, StateVector, SystemSpec,
-                    coupling_blocks, fieldset_from_pulses, ground_state,
-                    hamiltonian, pump_envelope, rabi_pump, rabi_stokes,
-                    stokes_envelope)
+from .model import (FieldSet, StateVector, SystemSpec, coupling_blocks,
+                    ground_state, hamiltonian, pump_envelope, stokes_envelope)
 from .design import (DesignError, DesignReport, TargetSpec, VerifyResult,
                      check_feasibility, design_fields, effective_dipoles,
-                     matched_pump_rabi, reduce_channels, verify_design)
+                     matched_pump_rabi, verify_design)
 from .nullspace import (CouplingDiagnostics, NullVector, NullVectorLabel,
                         TrackingLost, analytic_lambda1, analytic_pair_tracks,
-                        cofactor_matrix, converged_max_coupling, det_s,
+                        cofactor_matrix, converged_max_coupling,
                         make_null_vector, nonadiabatic_coupling,
                         numeric_null_space, phase_aligned_distance,
-                        phase_aligned_overlap, s_matrix, track_eigenvector,
                         track_null_frame)
-from .propagation import (AdiabaticityReport, LadderRung, PropagationConfig,
-                          PropagationError, Trajectory, adiabaticity_report,
-                          evolve_state, populations, propagate)
+from .propagation import (PropagationConfig, PropagationError, Trajectory,
+                          populations, propagate)
 from .scenarios import (Bounds, DesignRequest, RunRecord, Scenario,
                         ScenarioError, SweepEntry, builtin_names,
                         builtin_scenario, config_hash, load_scenario, run,
@@ -35,25 +32,21 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "SystemSpec", "PulseSpec", "FieldSet", "StateVector",
-    "fieldset_from_pulses", "ground_state", "pump_envelope",
-    "stokes_envelope", "rabi_pump", "rabi_stokes", "coupling_blocks",
-    "hamiltonian",
+    "SystemSpec", "FieldSet", "StateVector", "ground_state", "pump_envelope",
+    "stokes_envelope", "coupling_blocks", "hamiltonian",
     # design
     "DesignError", "TargetSpec", "DesignReport", "VerifyResult",
     "effective_dipoles", "check_feasibility", "design_fields",
-    "matched_pump_rabi", "verify_design", "reduce_channels",
+    "matched_pump_rabi", "verify_design",
     # nullspace
     "NullVector", "NullVectorLabel", "CouplingDiagnostics", "TrackingLost",
-    "make_null_vector", "s_matrix", "det_s", "cofactor_matrix",
-    "numeric_null_space", "analytic_lambda1", "track_eigenvector",
-    "track_null_frame", "nonadiabatic_coupling", "analytic_pair_tracks",
-    "converged_max_coupling", "phase_aligned_overlap",
+    "make_null_vector", "cofactor_matrix", "numeric_null_space",
+    "analytic_lambda1", "track_null_frame", "nonadiabatic_coupling",
+    "analytic_pair_tracks", "converged_max_coupling",
     "phase_aligned_distance",
     # propagation
-    "PropagationError", "PropagationConfig", "Trajectory", "LadderRung",
-    "AdiabaticityReport", "propagate", "evolve_state", "populations",
-    "adiabaticity_report",
+    "PropagationError", "PropagationConfig", "Trajectory", "propagate",
+    "populations",
     # scenarios
     "ScenarioError", "Scenario", "DesignRequest", "Bounds", "RunRecord",
     "SweepEntry", "builtin_scenario", "builtin_names", "load_scenario",

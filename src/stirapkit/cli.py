@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 declared bound violated (or verification failed),
-3 infeasible design, 4 numerical failure; scenario-file problems and bad
-flags exit 1.  A sweep exits with the worst code among its entries.
+3 infeasible design, 4 numerical failure; scenario-file problems, bad flag
+values and anything click cannot parse (an unknown command, option or
+choice) exit 1.  A sweep exits with the worst code among its entries.
 """
 
 import json
@@ -30,11 +31,25 @@ _FAILURES = ((ScenarioError, "error", EXIT_ERROR),
 
 
 class _Commands(click.Group):
-    """Reports a failure listed in ``_FAILURES`` and exits with its code."""
+    """Reports a failure listed in ``_FAILURES`` and exits with its code.
+
+    A usage error keeps click's message but exits ``EXIT_ERROR``, not
+    click's 2, which here means a violated bound.
+    """
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_ERROR
+            raise
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_ERROR
+            raise
         except tuple(cls for cls, _, _ in _FAILURES) as exc:
             prefix, code = next((prefix, code) for cls, prefix, code
                                 in _FAILURES if isinstance(exc, cls))
@@ -201,7 +216,8 @@ def reproduce(name, window, rel_tol, abs_tol, stride, out_dir):
 @click.option("--pump-index", type=int, default=1, show_default=True,
               help="Pump channel for phase-perturbation sweeps.")
 @click.option("--jobs", type=int, default=None,
-              help="Parallel workers (default: one per value, capped at CPUs).")
+              help="Parallel workers (default: one per CPU; never more than "
+                   "one per value).")
 @_out_option
 def sweep_cmd(scenario_ref, axis, values, pump_index, jobs, out_dir):
     """Run SCENARIO_REF once per axis value and tabulate the results."""

@@ -25,7 +25,6 @@ __all__ = [
     "design_fields",
     "matched_pump_rabi",
     "verify_design",
-    "reduce_channels",
 ]
 
 # |det| below this fraction of the Hadamard bound (product of row norms)
@@ -261,8 +260,7 @@ def design_fields(system: SystemSpec, target: TargetSpec, eta: complex,
 
 
 def verify_design(system: SystemSpec, fields: FieldSet,
-                  target: TargetSpec | None = None,
-                  rel_tol: float = VERIFY_REL_TOL) -> VerifyResult:
+                  target: TargetSpec | None = None) -> VerifyResult:
     """Check the phase-matching condition on an existing field set.
 
     Fits the best ratio ``eta`` by least squares over the non-pruned channels
@@ -281,7 +279,7 @@ def verify_design(system: SystemSpec, fields: FieldSet,
     live = np.array([k - 1 for k in range(1, effective.size + 1) if k not in pruned],
                     dtype=int)
     scale = fields.max_rabi
-    tol = rel_tol * scale if scale > 0 else rel_tol
+    tol = VERIFY_REL_TOL * scale if scale > 0 else VERIFY_REL_TOL
 
     if live.size == 0:
         # target decoupled everywhere: the condition degenerates to "no pumps"
@@ -295,26 +293,3 @@ def verify_design(system: SystemSpec, fields: FieldSet,
     return VerifyResult(bool(residual < tol and significant), residual, eta,
                         pruned)
 
-
-def reduce_channels(system: SystemSpec,
-                    target: TargetSpec) -> tuple[SystemSpec, tuple[int, ...]]:
-    """Drop surplus intermediate channels when fewer suffice.
-
-    With fewer degenerate states than intermediates the transfer also works
-    through any subset of intermediates whose Stokes sub-block is nonsingular;
-    this returns the reduced system over the feasibility row selection plus
-    the kept (1-based) channel indices.  The default designer deliberately
-    keeps all channels, which is what makes the scheme independent of the
-    degeneracy count.
-    """
-    report = check_feasibility(system, target)
-    if not report.feasible:
-        raise DesignError("; ".join(report.notes) or "design infeasible")
-    rows = [r - 1 for r in report.selected_rows]
-    reduced = SystemSpec(
-        n_intermediate=len(rows),
-        n_degenerate=system.n_degenerate,
-        mu_pump=system.mu_pump[rows],
-        mu_stokes=system.mu_stokes[rows, :],
-    )
-    return reduced, report.selected_rows

@@ -23,15 +23,11 @@ import numpy as np
 
 __all__ = [
     "SystemSpec",
-    "PulseSpec",
     "FieldSet",
     "StateVector",
-    "fieldset_from_pulses",
     "ground_state",
     "pump_envelope",
     "stokes_envelope",
-    "rabi_pump",
-    "rabi_stokes",
     "coupling_blocks",
     "hamiltonian",
 ]
@@ -83,28 +79,6 @@ class SystemSpec:
         if shape != (self.n_intermediate, self.n_degenerate):
             raise ValueError(f"field set shaped {shape} does not match system "
                              f"({self.n_intermediate}, {self.n_degenerate})")
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """One Gaussian laser pulse.
-
-    The interaction-picture dynamics depend on the envelope and phase alone.
-    Pump pulses must be delayed by exactly one width, Stokes pulses must be
-    centred at t = 0; the envelope centres are hard-wired into the model and
-    other delays are rejected at field-set construction.
-    """
-
-    peak_field: float
-    phase: float
-    width: float
-    delay: float
-
-    def __post_init__(self):
-        if self.width <= 0:
-            raise ValueError("pulse width must be positive")
-        if self.peak_field < 0:
-            raise ValueError("peak field amplitude must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -184,41 +158,6 @@ def ground_state(system: SystemSpec, time: float = 0.0) -> StateVector:
     return StateVector(components, time)
 
 
-def fieldset_from_pulses(system: SystemSpec,
-                         pump_pulses: list[PulseSpec],
-                         stokes_pulses: list[PulseSpec]) -> FieldSet:
-    """Convert N pump and N Stokes pulses into peak Rabi amplitudes.
-
-    One-way constructor: ``2*rabi_pump[k] = mu_pump[k] * E_Pk * exp(i*phi_Pk)``
-    and ``2*rabi_stokes[k, j] = mu_stokes[k, j] * E_Sk * exp(i*phi_Sk)``.
-    All pulses must share one width; pump delays must equal that width and
-    Stokes delays must be zero (counter-intuitive ordering).
-    """
-    n = system.n_intermediate
-    if len(pump_pulses) != n or len(stokes_pulses) != n:
-        raise ValueError(f"need exactly {n} pump and {n} Stokes pulses")
-    widths = {p.width for p in pump_pulses} | {p.width for p in stokes_pulses}
-    if len(widths) != 1:
-        raise ValueError("all pulses must share a single width")
-    width = widths.pop()
-    for k, pulse in enumerate(pump_pulses, start=1):
-        if not math.isclose(pulse.delay, width, rel_tol=1e-12):
-            raise ValueError(f"pump pulse {k} must be delayed by one width")
-    for k, pulse in enumerate(stokes_pulses, start=1):
-        if pulse.delay != 0.0:
-            raise ValueError(f"Stokes pulse {k} must be centred at t = 0")
-
-    pump = np.array([
-        0.5 * system.mu_pump[k] * p.peak_field * np.exp(1j * p.phase)
-        for k, p in enumerate(pump_pulses)
-    ])
-    stokes = np.array([
-        0.5 * system.mu_stokes[k, :] * p.peak_field * np.exp(1j * p.phase)
-        for k, p in enumerate(stokes_pulses)
-    ])
-    return FieldSet(pump, stokes, width)
-
-
 def pump_envelope(t, width: float):
     """Gaussian pump envelope, unit peak at t = width."""
     return np.exp(-((t - width) / width) ** 2)
@@ -227,24 +166,6 @@ def pump_envelope(t, width: float):
 def stokes_envelope(t, width: float):
     """Gaussian Stokes envelope, unit peak at t = 0."""
     return np.exp(-(t / width) ** 2)
-
-
-def _check_index(value: int, upper: int, name: str) -> None:
-    if not 1 <= value <= upper:
-        raise IndexError(f"{name} must be in 1..{upper}, got {value}")
-
-
-def rabi_pump(fields: FieldSet, k: int, t: float) -> complex:
-    """Instantaneous half-Rabi coupling of the k-th pump (1-based)."""
-    _check_index(k, fields.n_intermediate, "pump index k")
-    return complex(fields.peak_rabi_pump[k - 1] * pump_envelope(t, fields.width))
-
-
-def rabi_stokes(fields: FieldSet, k: int, j: int, t: float) -> complex:
-    """Instantaneous half-Rabi coupling of intermediate k to degenerate state j (1-based)."""
-    _check_index(k, fields.n_intermediate, "intermediate index k")
-    _check_index(j, fields.n_degenerate, "degenerate index j")
-    return complex(fields.peak_rabi_stokes[k - 1, j - 1] * stokes_envelope(t, fields.width))
 
 
 def coupling_blocks(fields: FieldSet) -> tuple[np.ndarray, np.ndarray]:

@@ -2,10 +2,13 @@
 
 A field set that satisfies the phase-matching design condition gives the
 Hamiltonian a zero-eigenvalue eigenvector whose only nonzero components sit
-on the initial state and the target direction; everything here either
-constructs that vector in closed form, verifies it numerically, or follows
-it (and its degenerate partners) continuously through time to quantify
-nonadiabatic coupling.
+on the initial state and the target direction.  This module constructs that
+vector in closed form (:func:`analytic_lambda1`), finds it numerically
+(:func:`numeric_null_space`, the SVD oracle), follows it and its degenerate
+partners through time as one frame (:func:`track_null_frame`) and measures
+the nonadiabatic coupling between tracks.  :func:`cofactor_matrix` gives the
+signed minors of the cofactor identity; the N = M condition ``det S != 0`` on
+the Stokes block is :attr:`~stirapkit.design.DesignReport.det_check`.
 """
 
 import enum
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import DesignError, TargetSpec, verify_design
-from .model import FieldSet, StateVector, SystemSpec, stokes_envelope
+from .model import FieldSet, StateVector, SystemSpec
 
 __all__ = [
     "NODE_TOL",
@@ -24,17 +27,13 @@ __all__ = [
     "CouplingDiagnostics",
     "TrackingLost",
     "make_null_vector",
-    "s_matrix",
-    "det_s",
     "cofactor_matrix",
     "numeric_null_space",
     "analytic_lambda1",
-    "track_eigenvector",
     "track_null_frame",
     "nonadiabatic_coupling",
     "analytic_pair_tracks",
     "converged_max_coupling",
-    "phase_aligned_overlap",
     "phase_aligned_distance",
 ]
 
@@ -45,6 +44,18 @@ NODE_TOL = 1e-10
 # Eigenvalues within this fraction of the spectral radius count as one
 # degenerate cluster during tracking.
 DEGENERACY_REL_TOL = 1e-8
+
+# Smallest step-to-step overlap a tracked vector may have before tracking is
+# declared lost.
+MIN_OVERLAP = 0.5
+
+# Largest deviation from orthonormality a pair of tracks may show.
+ORTHONORMAL_TOL = 1e-8
+
+# The coupling maximum counts as converged once one grid doubling changes it
+# by less than this fraction; at most MAX_DOUBLINGS doublings are tried.
+COUPLING_REL_CHANGE = 0.01
+MAX_DOUBLINGS = 6
 
 # Grid points per stacked ``eigh`` call during tracking: amortises numpy's
 # per-call overhead while a block of 16x16 Hamiltonians stays about 1 MB.
@@ -121,32 +132,12 @@ def _labels(profiles: np.ndarray, system: SystemSpec | None) -> np.ndarray:
 
 
 def make_null_vector(components: np.ndarray, time: float,
-                     system: SystemSpec | None = None,
-                     node_tol: float = NODE_TOL) -> NullVector:
+                     system: SystemSpec | None = None) -> NullVector:
     """Wrap a unit vector with its node profile and (if the split is known) label."""
     components = np.asarray(components, dtype=complex)
-    profile = np.abs(components) < node_tol
+    profile = np.abs(components) < NODE_TOL
     return NullVector(StateVector(components, time), profile,
                       _labels(profile[None], system)[0])
-
-
-def s_matrix(fields: FieldSet, t: float) -> np.ndarray:
-    """Instantaneous Stokes coupling block (N x M, square when N = M)."""
-    return fields.peak_rabi_stokes * stokes_envelope(t, fields.width)
-
-
-def det_s(fields: FieldSet, t: float) -> complex:
-    """Determinant of the square Stokes block.
-
-    Whether it vanishes is a property of the system alone: the common Gaussian
-    envelope factors out as ``exp(-M t^2 / T^2)``, so the determinant is
-    nonzero at one time iff it is nonzero at all times.
-    """
-    if fields.n_intermediate != fields.n_degenerate:
-        raise ValueError(
-            "determinant needs a square Stokes block "
-            f"(N={fields.n_intermediate}, M={fields.n_degenerate})")
-    return complex(np.linalg.det(s_matrix(fields, t)))
 
 
 def cofactor_matrix(s: np.ndarray) -> np.ndarray:
@@ -207,11 +198,6 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
                          where=magnitude > 0)
 
 
-def phase_aligned_overlap(u: np.ndarray, v: np.ndarray) -> float:
-    """|<u, v>| for unit vectors; 1 means equal up to a global phase."""
-    return float(abs(np.vdot(np.asarray(u), np.asarray(v))))
-
-
 def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
     """Euclidean distance between unit vectors minimized over a global phase.
 
@@ -228,8 +214,7 @@ def phase_aligned_distance(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def analytic_lambda1(system: SystemSpec, fields: FieldSet, t: float,
-                     target: TargetSpec | None = None,
-                     node_tol: float = NODE_TOL) -> NullVector:
+                     target: TargetSpec | None = None) -> NullVector:
     """Closed-form transfer-carrying null eigenvector at time t.
 
     Requires fields that satisfy the phase-matching condition (checked here
@@ -265,7 +250,7 @@ def analytic_lambda1(system: SystemSpec, fields: FieldSet, t: float,
     components = np.zeros(system.dim, dtype=complex)
     components[0] = z0
     components[1 + system.n_intermediate:] = -y_mag * phase * target.coefficients
-    return make_null_vector(components, t, system, node_tol)
+    return make_null_vector(components, t, system)
 
 
 def _check_seed(h0: np.ndarray, vals: np.ndarray, seeds: np.ndarray) -> None:
@@ -278,7 +263,7 @@ def _check_seed(h0: np.ndarray, vals: np.ndarray, seeds: np.ndarray) -> None:
         raise ValueError("seed is not an eigenvector at the start of the grid")
 
 
-def _eigen_blocks(h_sampler, grid: np.ndarray, degeneracy_tol: float):
+def _eigen_blocks(h_sampler, grid: np.ndarray):
     """Sample once per grid point, in order; one stacked ``eigh`` per block.
 
     Yields ``(times, h, vals, vecs, same)``; ``same[g, i, j]`` says whether
@@ -293,32 +278,14 @@ def _eigen_blocks(h_sampler, grid: np.ndarray, degeneracy_tol: float):
             raise TrackingLost(
                 f"non-finite Hamiltonian at t = {times[finite.argmin()]:g}")
         vals, vecs = np.linalg.eigh(h)
-        tol = degeneracy_tol * np.maximum(np.abs(vals).max(axis=1), 1e-300)
+        tol = DEGENERACY_REL_TOL * np.maximum(np.abs(vals).max(axis=1), 1e-300)
         same = (np.abs(vals[:, :, None] - vals[:, None, :])
                 <= tol[:, None, None])
         yield times, h, vals, vecs, same
 
 
-def track_eigenvector(h_sampler, seed: NullVector, grid,
-                      degeneracy_tol: float = DEGENERACY_REL_TOL,
-                      min_overlap: float = 0.5,
-                      system: SystemSpec | None = None,
-                      node_tol: float = NODE_TOL) -> list[NullVector]:
-    """Follow one eigenvector continuously across a time grid.
-
-    The one-seed case of :func:`track_null_frame`, which documents the
-    continuation rule.
-    """
-    frames = track_null_frame(h_sampler, [seed], grid, degeneracy_tol,
-                              min_overlap, system, node_tol)
-    return [frame[0] for frame in frames]
-
-
 def track_null_frame(h_sampler, seeds, grid,
-                     degeneracy_tol: float = DEGENERACY_REL_TOL,
-                     min_overlap: float = 0.5,
-                     system: SystemSpec | None = None,
-                     node_tol: float = NODE_TOL) -> list[list[NullVector]]:
+                     system: SystemSpec | None = None) -> list[list[NullVector]]:
     """Track several mutually orthogonal eigenvectors as one orthonormal frame.
 
     ``h_sampler(t)`` must return the Hamiltonian at time t; it is called once
@@ -332,7 +299,7 @@ def track_null_frame(h_sampler, seeds, grid,
     phase is pinned by a positive overlap with its previous vector
     (largest-component convention at the start).  Raises
     :class:`TrackingLost` when a member vanishes, when its step-to-step
-    overlap drops below ``min_overlap``, or when a sampled Hamiltonian is not
+    overlap drops below ``MIN_OVERLAP``, or when a sampled Hamiltonian is not
     finite.  Returns one frame (list parallel to ``seeds``) per grid point.
     """
     grid = np.asarray(grid, dtype=float)
@@ -344,8 +311,7 @@ def track_null_frame(h_sampler, seeds, grid,
     prev = prev / np.linalg.norm(prev, axis=0)
     frames = np.empty((grid.size, prev.shape[1], prev.shape[0]), dtype=complex)
     idx = 0
-    for times, h, vals, vecs, same in _eigen_blocks(h_sampler, grid,
-                                                    degeneracy_tol):
+    for times, h, vals, vecs, same in _eigen_blocks(h_sampler, grid):
         if idx == 0:
             _check_seed(h[0], vals[0], prev)
         for g, t in enumerate(times):
@@ -358,11 +324,11 @@ def track_null_frame(h_sampler, seeds, grid,
                     f"frame member {kept.argmin()} vanished at t = {t:g}")
             aligned = np.vecdot(q, prev, axis=0)
             weight = np.abs(aligned)
-            kept = weight >= min_overlap
+            kept = weight >= MIN_OVERLAP
             if not kept.all():
                 k = kept.argmin()
                 raise TrackingLost(
-                    f"overlap {weight[k]:.3f} below {min_overlap} for frame "
+                    f"overlap {weight[k]:.3f} below {MIN_OVERLAP} for frame "
                     f"member {k} at t = {t:g}; refine the time grid")
             prev = q * (aligned / weight)
             if idx == 0:
@@ -370,16 +336,14 @@ def track_null_frame(h_sampler, seeds, grid,
             frames[idx] = prev.T
             idx += 1
 
-    profiles = np.abs(frames) < node_tol
+    profiles = np.abs(frames) < NODE_TOL
     labels = _labels(profiles, system)
     return [[NullVector(StateVector(vec, t), profile, label)
              for vec, profile, label in zip(*point)]
             for t, *point in zip(grid.tolist(), frames, profiles, labels)]
 
 
-def nonadiabatic_coupling(track_a, track_b, grid,
-                          orthonormal_tol: float = 1e-8,
-                          ) -> list[CouplingDiagnostics]:
+def nonadiabatic_coupling(track_a, track_b, grid) -> list[CouplingDiagnostics]:
     """Coupling strength |<a(t), db/dt>| along two tracks, central differences.
 
     Both tracks must live on the same grid and be orthonormal pairs at every
@@ -396,7 +360,7 @@ def nonadiabatic_coupling(track_a, track_b, grid,
         np.abs(np.linalg.norm(a, axis=1) - 1),
         np.abs(np.linalg.norm(b, axis=1) - 1),
         np.abs(np.vecdot(a, b))])
-    broken = np.flatnonzero(~(deviation <= orthonormal_tol))
+    broken = np.flatnonzero(~(deviation <= ORTHONORMAL_TOL))
     if broken.size:
         raise ValueError(
             f"tracks are not an orthonormal pair at t = {grid[broken[0]]:g}")
@@ -409,32 +373,23 @@ def nonadiabatic_coupling(track_a, track_b, grid,
 
 def analytic_pair_tracks(system: SystemSpec, fields: FieldSet, grid,
                          target: TargetSpec | None = None,
-                         partner_direction=None,
                          ) -> tuple[list[NullVector], list[NullVector]]:
     """Explicit-gauge track of the transfer carrier and one degenerate partner.
 
     The carrier is the closed-form null vector at each grid time.  The
-    partner starts from a fixed direction ``y`` inside the degenerate
-    manifold with ``stokes_block @ y = 0`` (so ``(0; 0...; y)`` is a null
+    partner starts from the first right null direction ``y`` of the Stokes
+    block, ``stokes_block @ y = 0`` (so ``(0; 0...; y)`` is a null
     eigenvector at every time, the situation that arises with more degenerate
-    than intermediate states) and is orthogonalized against the carrier point
-    by point.  Unlike projection tracking, this gauge is pinned to the
+    than intermediate states), and is orthogonalized against the carrier
+    point by point.  Unlike projection tracking, this gauge is pinned to the
     physical basis labels, so the coupling between the pair retains the
     finite value responsible for leakage inside the manifold.
     """
-    if partner_direction is None:
-        _, singular, vh = np.linalg.svd(fields.peak_rabi_stokes)
-        rank = int((singular > 1e-12 * singular[0]).sum())
-        if rank == fields.n_degenerate:
-            raise ValueError("Stokes block has no right null direction; "
-                             "pass partner_direction explicitly")
-        partner_direction = vh[rank].conj()
-    y = np.asarray(partner_direction, dtype=complex)
-    if y.shape != (fields.n_degenerate,):
-        raise ValueError("partner_direction must live in the degenerate manifold")
-    residual = np.linalg.norm(fields.peak_rabi_stokes @ y)
-    if residual > 1e-10 * max(fields.max_rabi, 1e-300) * np.linalg.norm(y):
-        raise ValueError("partner_direction is not annihilated by the Stokes block")
+    _, singular, vh = np.linalg.svd(fields.peak_rabi_stokes)
+    rank = int((singular > 1e-12 * singular[0]).sum())
+    if rank == fields.n_degenerate:
+        raise ValueError("Stokes block has no right null direction")
+    y = vh[rank].conj()
 
     base = np.zeros(system.dim, dtype=complex)
     base[1 + system.n_intermediate:] = y / np.linalg.norm(y)
@@ -452,27 +407,25 @@ def analytic_pair_tracks(system: SystemSpec, fields: FieldSet, grid,
 
 def converged_max_coupling(tracks_for, t_start: float, t_end: float,
                            n_points: int = 201,
-                           rel_change: float = 0.01,
-                           max_doublings: int = 6,
                            atol: float = 1e-15,
                            ) -> tuple[float, int, bool]:
     """Stencil-converged maximum coupling between two tracked vectors.
 
     ``tracks_for(grid)`` must return the pair of tracks on the given grid.
     The coupling is a derivative quantity, so the grid is refined (points
-    doubled) until the maximum changes by less than ``rel_change`` of itself
-    or the change falls below ``atol``.  Returns
+    doubled) until the maximum changes by less than ``COUPLING_REL_CHANGE``
+    of itself or the change falls below ``atol``.  Returns
     ``(chi_max, points_used, converged)``.
     """
     previous = None
     points = n_points
-    for _ in range(max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         grid = np.linspace(t_start, t_end, points)
         track_a, track_b = tracks_for(grid)
         diags = nonadiabatic_coupling(track_a, track_b, grid)
         chi_max = max(d.chi for d in diags)
         if previous is not None and abs(chi_max - previous) <= max(
-                rel_change * chi_max, atol):
+                COUPLING_REL_CHANGE * chi_max, atol):
             return chi_max, points, True
         previous = chi_max
         points = 2 * points - 1

@@ -15,24 +15,19 @@ pulse would.
 
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .design import TargetSpec
 from .model import (FieldSet, StateVector, SystemSpec, coupling_blocks,
-                    ground_state, pump_envelope, stokes_envelope)
+                    pump_envelope, stokes_envelope)
 
 __all__ = [
     "PropagationError",
     "PropagationConfig",
     "Trajectory",
-    "LadderRung",
-    "AdiabaticityReport",
     "propagate",
-    "evolve_state",
     "populations",
-    "adiabaticity_report",
 ]
 
 # Both envelopes must be below this fraction of their peaks at the window
@@ -130,25 +125,6 @@ class Trajectory:
         return float(self.norm_error.max())
 
 
-class LadderRung(NamedTuple):
-    width_factor: float
-    max_p_x: float
-    max_p_y: float
-    final_infidelity: float
-
-
-@dataclass(frozen=True)
-class AdiabaticityReport:
-    """Population leakage versus pulse width at fixed peak amplitudes."""
-
-    rungs: tuple[LadderRung, ...]
-
-    @property
-    def infidelity_nonincreasing(self) -> bool:
-        values = [r.final_infidelity for r in self.rungs]
-        return all(b <= a for a, b in zip(values, values[1:]))
-
-
 def _split_populations(states: np.ndarray, n: int, m: int,
                        target: TargetSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     y = states[:, 1 + n:]
@@ -197,20 +173,6 @@ def solve_ivp(*args, **kwargs):
     return scipy_solve_ivp(*args, **kwargs)
 
 
-def _integrate(fields: FieldSet, psi0: np.ndarray, t_from: float, t_to: float,
-               rel_tol: float, abs_tol: float, max_step: float,
-               t_eval=None):
-    sol = solve_ivp(_make_rhs(fields), (t_from, t_to), psi0, method="DOP853",
-                    rtol=rel_tol, atol=abs_tol, max_step=max_step,
-                    t_eval=t_eval)
-    if not sol.success:
-        raise PropagationError(f"integration failed: {sol.message}")
-    if not np.isfinite(sol.y).all():
-        raise PropagationError("integration produced a non-finite state (norm "
-                               f"{np.linalg.norm(sol.y, axis=0).max():.3e})")
-    return sol
-
-
 def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
               config: PropagationConfig | None = None,
               target: TargetSpec | None = None) -> Trajectory:
@@ -253,8 +215,14 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
     times = _sample_times(config, width)
     max_step = (config.max_step if config.max_step is not None
                 else DEFAULT_MAX_STEP) * width
-    sol = _integrate(fields, psi0, times[0], times[-1],
-                     config.rel_tol, config.abs_tol, max_step, t_eval=times)
+    sol = solve_ivp(_make_rhs(fields), (times[0], times[-1]), psi0,
+                    method="DOP853", rtol=config.rel_tol, atol=config.abs_tol,
+                    max_step=max_step, t_eval=times)
+    if not sol.success:
+        raise PropagationError(f"integration failed: {sol.message}")
+    if not np.isfinite(sol.y).all():
+        raise PropagationError("integration produced a non-finite state (norm "
+                               f"{np.linalg.norm(sol.y, axis=0).max():.3e})")
 
     states = sol.y.T.copy()
     pops = np.abs(states) ** 2
@@ -274,22 +242,6 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
                       width=width, target=target)
 
 
-def evolve_state(system: SystemSpec, fields: FieldSet, state: StateVector,
-                 t_to: float, rel_tol: float = 1e-10, abs_tol: float = 1e-10,
-                 max_step: float | None = None) -> StateVector:
-    """Point-to-point evolution from ``state.time`` to ``t_to`` (absolute times).
-
-    Runs in either time direction, which makes round-trip consistency checks
-    possible: forward then backward must recover the initial state.
-    """
-    psi0 = np.asarray(state.components, dtype=complex)
-    if psi0.shape != (system.dim,):
-        raise ValueError(f"state must have {system.dim} components")
-    step = (max_step if max_step is not None else DEFAULT_MAX_STEP) * fields.width
-    sol = _integrate(fields, psi0, state.time, t_to, rel_tol, abs_tol, step)
-    return StateVector(sol.y[:, -1], t_to)
-
-
 def populations(trajectory: Trajectory, target: TargetSpec,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Population split (p_x, p_y, p_f) of a trajectory for a given target.
@@ -301,29 +253,3 @@ def populations(trajectory: Trajectory, target: TargetSpec,
     target = TargetSpec.resolve(target, trajectory.n_degenerate)
     return _split_populations(trajectory.states, trajectory.n_intermediate,
                               trajectory.n_degenerate, target)
-
-
-def adiabaticity_report(system: SystemSpec, fields: FieldSet,
-                        config: PropagationConfig | None = None,
-                        target: TargetSpec | None = None,
-                        width_factors: tuple[float, ...] = (1.0, 2.0, 4.0),
-                        initial: StateVector | None = None) -> AdiabaticityReport:
-    """Leakage ladder versus pulse width at fixed peak amplitudes.
-
-    Each rung stretches every pulse by the same factor (window and stride
-    scale along, peak amplitudes stay put), so the pulse areas grow linearly
-    and the dynamics walk toward the adiabatic limit.  Designed fields show a
-    monotone drop of the final infidelity; systems with more degenerate than
-    intermediate states show the tell-tale leakage floor instead.
-    """
-    if config is None:
-        config = PropagationConfig()
-    rungs = []
-    for factor in width_factors:
-        stretched = fields.with_width(fields.width * factor)
-        start = (ground_state(system, config.t_start * stretched.width)
-                 if initial is None else initial)
-        traj = propagate(system, stretched, start, config, target)
-        rungs.append(LadderRung(float(factor), traj.max_p_x, traj.max_p_y,
-                                1.0 - traj.final_p_f))
-    return AdiabaticityReport(tuple(rungs))

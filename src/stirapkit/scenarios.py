@@ -533,6 +533,14 @@ def config_hash(scenario: Scenario) -> str:
 
 
 def _check_bounds(bounds: Bounds, traj: Trajectory) -> list[str]:
+    """Violated bounds, judged on the sampled trajectory.
+
+    The maxima are taken over the output samples, not over the integrator's
+    continuous solution, so a peak that falls between samples is missed and
+    the verdict can depend on the stride: ``reproduce fig2`` (stride 0.01)
+    reads max P_y 4.960e-4, inside its 5e-4 bound, while the same run with
+    ``--stride 0.001`` reads 5.026e-4 and violates it.
+    """
     violations = []
     # written as "not within" so that a NaN aggregate counts as a violation
     if bounds.max_p_x is not None and not traj.max_p_x < bounds.max_p_x:
@@ -696,9 +704,9 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
     amplitudes), ``phase-perturbation`` (rotate one pump phase by the value,
     in radians), ``eta`` (re-derive the pump set from the Stokes block at the
     given ratio).  With more than one job the entries execute in a process
-    pool; either way they are returned in input order.  When ``out_dir`` is
-    given, each run writes its files there and ``sweep.csv`` tabulates all
-    entries.
+    pool of at most one worker per value; either way they are returned in
+    input order.  When ``out_dir`` is given, each run writes its files there
+    and ``sweep.csv`` tabulates all entries.
     """
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -709,7 +717,9 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
         raise ScenarioError("sweep values must be finite")
     tasks = [(scenario, axis, v, pump_index, out_dir) for v in values]
     if jobs is None:
-        jobs = min(len(tasks), os.cpu_count() or 1)
+        jobs = os.cpu_count() or 1
+    # a fork-based pool starts all its workers on the first submit
+    jobs = min(jobs, len(tasks))
     if jobs <= 1:
         entries = [_sweep_worker(task) for task in tasks]
     else:

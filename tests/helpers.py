@@ -1,4 +1,4 @@
-"""Shared test utilities: random instances and independent numerical oracles.
+"""Shared test utilities: random instances, the width ladder and independent oracles.
 
 The oracles here deliberately avoid the package's own code paths: the
 fixed-step integrator assembles its Hamiltonian from raw arrays and steps
@@ -14,8 +14,9 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from stirapkit import (FieldSet, SystemSpec, TargetSpec, check_feasibility,
-                       design_fields)
+from stirapkit import (Bounds, FieldSet, PropagationConfig, Scenario,
+                       SystemSpec, TargetSpec, check_feasibility,
+                       design_fields, sweep)
 
 
 def crandn(rng, *shape):
@@ -64,6 +65,18 @@ def random_designed_fields(rng, system, target=None, rabi_scale=80.0,
     fields = design_fields(system, target, eta, width, amplitudes, phases)
     mean = np.abs(fields.peak_rabi_stokes).mean()
     return fields.scaled(rabi_scale / mean), target, eta
+
+
+def width_ladder(system, fields, target=None):
+    """Run records of the width ladder x(1, 2, 4) at fixed peak amplitudes.
+
+    One serial ``sweep --axis width`` over a scenario holding ``fields``.
+    """
+    target = TargetSpec.resolve(target, system.n_degenerate)
+    scenario = Scenario("ladder", system, target, fields, None,
+                        PropagationConfig(), Bounds())
+    return [entry.record for entry in sweep(scenario, "width", (1, 2, 4),
+                                            jobs=1)]
 
 
 def raw_hamiltonian(pump_rabi, stokes_rabi, width, t):

@@ -11,16 +11,15 @@ import time
 import numpy as np
 import pytest
 
-from stirapkit import (FieldSet, SystemSpec, TargetSpec, adiabaticity_report,
-                       analytic_lambda1, analytic_pair_tracks,
-                       builtin_scenario, cofactor_matrix,
+from stirapkit import (FieldSet, SystemSpec, TargetSpec, analytic_lambda1,
+                       analytic_pair_tracks, builtin_scenario, cofactor_matrix,
                        converged_max_coupling, ground_state, hamiltonian,
                        make_null_vector, matched_pump_rabi,
                        numeric_null_space, phase_aligned_distance, propagate,
                        run, track_null_frame, verify_design)
 
 from helpers import (crandn, intermediate_null_seeds, random_designed_fields,
-                     random_feasible_system, random_target)
+                     random_feasible_system, random_target, width_ladder)
 
 
 def verdict(name: str, ok: bool, detail: str = "") -> None:
@@ -189,8 +188,7 @@ def test_excess_degeneracy_leakage_floor():
 
     chi_max, _, converged = converged_max_coupling(tracks_for, -4.0, 5.0,
                                                    n_points=201)
-    report = adiabaticity_report(system, fields, target=target)
-    leaks = [r.max_p_y for r in report.rungs]
+    leaks = [r.max_p_y for r in width_ladder(system, fields, target)]
     floor = min(leaks) / 2.0
     ok = (converged and chi_max > 0 and floor > 1e-6
           and all(leak >= floor for leak in leaks))

@@ -105,6 +105,22 @@ class TestRun:
         assert lines[-1].split(",")[0] == "6"
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "fig2", "--rel-tol", "abc"],
+    ["sweep", "fig2", "--axis", "bogus", "--values", "1"],
+    ["reproduce", "fig9"],
+    ["bogus"],
+    ["--bogus"],
+], ids=["unparsable-float", "unknown-axis", "unknown-scenario",
+        "unknown-command", "unknown-option"])
+def test_usage_error_exits_1(runner, args):
+    # exit 2 means a violated bound; click's own usage errors would use it
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert "Usage:" in result.output
+    assert "Error:" in result.output
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_no_seed_option(runner, command):
     result = runner.invoke(main, [command, "--help"])

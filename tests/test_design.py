@@ -8,8 +8,7 @@ import stirapkit.design
 from stirapkit import (DesignError, FieldSet, SystemSpec, TargetSpec,
                        analytic_lambda1, builtin_scenario, check_feasibility,
                        design_fields, effective_dipoles, hamiltonian,
-                       matched_pump_rabi, numeric_null_space, reduce_channels,
-                       verify_design)
+                       matched_pump_rabi, numeric_null_space, verify_design)
 
 from helpers import crandn, random_feasible_system, random_target
 
@@ -405,19 +404,23 @@ class TestDesignProperties:
 
 
 class TestReduceChannels:
+    # with M < N the transfer also works through the selected rows alone
     def test_reduction_keeps_feasibility(self):
         rng = np.random.default_rng(13)
         system = random_feasible_system(rng, 5, 2)
         target = random_target(rng, 2)
-        reduced, kept = reduce_channels(system, target)
+        kept = check_feasibility(system, target).selected_rows
+        rows = [k - 1 for k in kept]
+        reduced = SystemSpec(len(rows), 2, system.mu_pump[rows],
+                             system.mu_stokes[rows, :])
         assert reduced.n_intermediate == 2
         assert len(kept) == 2
         assert check_feasibility(reduced, target).feasible
-        rows = [k - 1 for k in kept]
         assert np.allclose(reduced.mu_stokes, system.mu_stokes[rows, :])
 
     def test_reduction_rejects_infeasible(self):
         rng = np.random.default_rng(14)
         system = SystemSpec(2, 3, crandn(rng, 2), crandn(rng, 2, 3))
-        with pytest.raises(DesignError):
-            reduce_channels(system, TargetSpec.basis(3))
+        report = check_feasibility(system, TargetSpec.basis(3))
+        assert not report.feasible
+        assert report.selected_rows == ()

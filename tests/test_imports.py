@@ -1,17 +1,46 @@
-"""Import graph: scipy loads with the first integration, not before.
+"""Import graph and public surface.
 
 Importing scipy costs about half a second, most of a fresh process's start-up.
 Design, verification and null-space work never integrate, so they must run
-without it; this test guards that in a fresh interpreter.
+without it; a test guards that in a fresh interpreter.  Every exported name
+must resolve, and names deleted from the public surface must stay gone.
 """
 
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import stirapkit
+
+MODULES = ["stirapkit.model", "stirapkit.design", "stirapkit.nullspace",
+           "stirapkit.propagation", "stirapkit.scenarios"]
+
+# Second paths to results the package reaches through design_fields,
+# hamiltonian, track_null_frame, propagate, check_feasibility and
+# ``sweep --axis width``.
+DELETED = ["PulseSpec", "fieldset_from_pulses", "rabi_pump", "rabi_stokes",
+           "reduce_channels", "s_matrix", "det_s", "track_eigenvector",
+           "phase_aligned_overlap", "evolve_state", "adiabaticity_report",
+           "LadderRung", "AdiabaticityReport"]
+
+
+@pytest.mark.parametrize("module", ["stirapkit"] + MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+@pytest.mark.parametrize("name", DELETED)
+def test_deleted_name_stays_gone(name):
+    assert not hasattr(stirapkit, name)
+    assert name not in stirapkit.__all__
 
 DESIGN_SCENARIO = {
     "label": "import-graph",

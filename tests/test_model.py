@@ -5,69 +5,70 @@ import math
 import numpy as np
 import pytest
 
-from stirapkit import (FieldSet, PulseSpec, StateVector, SystemSpec,
-                       fieldset_from_pulses, ground_state, hamiltonian,
-                       rabi_pump, rabi_stokes)
+from stirapkit import (FieldSet, StateVector, SystemSpec, TargetSpec,
+                       design_fields, ground_state, hamiltonian,
+                       matched_pump_rabi)
 
-from helpers import crandn
+from helpers import crandn, random_feasible_system
+
+THREE_LEVEL = SystemSpec(1, 1, [1.0], [[1.0]])
 
 
 def simple_fields(pump=60.0, stokes=90.0, width=1.0):
     return FieldSet([pump], [[stokes]], width)
 
 
+def rabi_pump(fields, t):
+    """The pump coupling of a three-level system, read from its Hamiltonian."""
+    return hamiltonian(THREE_LEVEL, fields, t)[0, 1]
+
+
+def rabi_stokes(fields, t):
+    """The Stokes coupling of a three-level system, read from its Hamiltonian."""
+    return hamiltonian(THREE_LEVEL, fields, t)[1, 2]
+
+
 class TestRabiPump:
     def test_peak_at_one_width(self):
         fields = simple_fields(pump=60.0)
-        assert rabi_pump(fields, 1, 1.0) == pytest.approx(60.0)
+        assert rabi_pump(fields, 1.0) == pytest.approx(60.0)
 
     def test_vanishes_far_away(self):
         fields = simple_fields(pump=60.0)
-        assert abs(rabi_pump(fields, 1, -50.0)) == 0.0
+        assert abs(rabi_pump(fields, -50.0)) == 0.0
 
     def test_value_at_zero(self):
         # half way into the delay: one Gaussian width from the pump centre
         fields = simple_fields(pump=60.0)
-        assert rabi_pump(fields, 1, 0.0) == pytest.approx(60.0 * math.exp(-1.0))
-
-    def test_index_out_of_range(self):
-        fields = simple_fields()
-        with pytest.raises(IndexError):
-            rabi_pump(fields, 0, 0.0)
-        with pytest.raises(IndexError):
-            rabi_pump(fields, 2, 0.0)
+        assert rabi_pump(fields, 0.0) == pytest.approx(60.0 * math.exp(-1.0))
 
 
 class TestRabiStokes:
     def test_peak_at_zero(self):
         fields = simple_fields(stokes=90.0)
-        assert rabi_stokes(fields, 1, 1, 0.0) == pytest.approx(90.0)
+        assert rabi_stokes(fields, 0.0) == pytest.approx(90.0)
 
     def test_vanishes_far_away(self):
         fields = simple_fields(stokes=90.0)
-        assert abs(rabi_stokes(fields, 1, 1, 60.0)) == 0.0
+        assert abs(rabi_stokes(fields, 60.0)) == 0.0
 
     def test_value_at_one_width(self):
         fields = simple_fields(stokes=90.0)
-        assert rabi_stokes(fields, 1, 1, 1.0) == pytest.approx(90.0 * math.exp(-1.0))
-
-    def test_index_out_of_range(self):
-        fields = simple_fields()
-        with pytest.raises(IndexError):
-            rabi_stokes(fields, 1, 2, 0.0)
-        with pytest.raises(IndexError):
-            rabi_stokes(fields, 2, 1, 0.0)
+        assert rabi_stokes(fields, 1.0) == pytest.approx(90.0 * math.exp(-1.0))
 
 
 class TestEnvelopeOrdering:
     def test_pump_peaks_after_stokes(self):
         fields = FieldSet([10.0, 20.0], crandn(np.random.default_rng(0), 2, 3),
                           width=1.0)
+        system = SystemSpec(2, 3, np.ones(2), np.ones((2, 3)))
         grid = np.linspace(-4, 5, 1801)
+        h = np.array([hamiltonian(system, fields, t) for t in grid])
         for k in (1, 2):
-            pump_mags = [abs(rabi_pump(fields, k, t)) for t in grid]
+            pump_mags = np.abs(h[:, 0, k])
             assert grid[int(np.argmax(pump_mags))] == pytest.approx(1.0, abs=1e-9)
-            stokes_mags = [abs(rabi_stokes(fields, k, 1, t)) for t in grid]
+            # intermediate k to the first degenerate state
+            stokes_mags = np.abs(h[:, k, 3])
             assert grid[int(np.argmax(stokes_mags))] == pytest.approx(0.0, abs=1e-9)
 
 
@@ -121,46 +122,24 @@ class TestHamiltonian:
 
 class TestPulseConversion:
     def test_pulse_spec_and_direct_fields_agree(self):
+        # the designer converts Stokes field amplitudes and phases through
+        # 2*rabi = mu * field * exp(i*phase)
         rng = np.random.default_rng(11)
         n, m = 3, 3
-        system = SystemSpec(n, m, crandn(rng, n), crandn(rng, n, m))
+        system = random_feasible_system(rng, n, m)
+        target = TargetSpec.basis(m)
         width = 1.7
-        pump_pulses = [PulseSpec(peak_field=rng.uniform(0.5, 2.0),
-                                 phase=rng.uniform(0, 2 * np.pi),
-                                 width=width, delay=width)
-                       for _ in range(n)]
-        stokes_pulses = [PulseSpec(peak_field=rng.uniform(0.5, 2.0),
-                                   phase=rng.uniform(0, 2 * np.pi),
-                                   width=width, delay=0.0)
-                         for _ in range(n)]
-        converted = fieldset_from_pulses(system, pump_pulses, stokes_pulses)
+        amplitudes = rng.uniform(0.5, 2.0, n)
+        phases = rng.uniform(0, 2 * np.pi, n)
+        converted = design_fields(system, target, 1.0, width, amplitudes,
+                                  phases)
 
-        pump = np.array([0.5 * system.mu_pump[k] * p.peak_field
-                         * np.exp(1j * p.phase)
-                         for k, p in enumerate(pump_pulses)])
-        stokes = np.array([0.5 * system.mu_stokes[k] * p.peak_field
-                           * np.exp(1j * p.phase)
-                           for k, p in enumerate(stokes_pulses)])
-        direct = FieldSet(pump, stokes, width)
+        per_pulse = 0.5 * amplitudes * np.exp(1j * phases)
+        stokes = per_pulse[:, None] * system.mu_stokes
+        direct = FieldSet(matched_pump_rabi(stokes, target, 1.0), stokes, width)
         for t in (-1.0, 0.4, 2.2):
             assert np.array_equal(hamiltonian(system, converted, t),
                                   hamiltonian(system, direct, t))
-
-    def test_wrong_delay_rejected(self):
-        system = SystemSpec(1, 1, [1.0], [[1.0]])
-        good_stokes = [PulseSpec(1.0, 0.0, 1.0, 0.0)]
-        with pytest.raises(ValueError, match="delayed"):
-            fieldset_from_pulses(system, [PulseSpec(1.0, 0.0, 1.0, 0.5)],
-                                 good_stokes)
-        with pytest.raises(ValueError, match="centred"):
-            fieldset_from_pulses(system, [PulseSpec(1.0, 0.0, 1.0, 1.0)],
-                                 [PulseSpec(1.0, 0.0, 1.0, 0.3)])
-
-    def test_pulse_validation(self):
-        with pytest.raises(ValueError):
-            PulseSpec(1.0, 0.0, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            PulseSpec(-1.0, 0.0, 1.0, 0.0)
 
 
 class TestTypes:

@@ -5,12 +5,12 @@ import pytest
 
 from stirapkit import (DesignError, FieldSet, NullVectorLabel, SystemSpec,
                        TargetSpec, TrackingLost, analytic_lambda1,
-                       analytic_pair_tracks, builtin_scenario, cofactor_matrix,
-                       converged_max_coupling, det_s, hamiltonian,
-                       make_null_vector, matched_pump_rabi,
-                       nonadiabatic_coupling, numeric_null_space,
-                       phase_aligned_distance, phase_aligned_overlap, s_matrix,
-                       track_eigenvector, track_null_frame)
+                       analytic_pair_tracks, builtin_scenario,
+                       check_feasibility, cofactor_matrix,
+                       converged_max_coupling, hamiltonian, make_null_vector,
+                       matched_pump_rabi, nonadiabatic_coupling,
+                       numeric_null_space, phase_aligned_distance,
+                       track_null_frame)
 
 from stirapkit.nullspace import TRACK_BLOCK
 
@@ -27,6 +27,13 @@ FIG2_DET_EXACT = -254139097158
 def fig2():
     scenario = builtin_scenario("fig2")
     return scenario.system, scenario.fields
+
+
+def s_matrix(fields, t):
+    """The N x M Stokes block of the Hamiltonian at time t."""
+    n, m = fields.n_intermediate, fields.n_degenerate
+    system = SystemSpec(n, m, np.ones(n), np.ones((n, m)))
+    return hamiltonian(system, fields, t)[1:1 + n, 1 + n:]
 
 
 class TestSMatrix:
@@ -47,29 +54,30 @@ class TestSMatrix:
 
 
 class TestDetS:
+    # for N = M every Stokes row is selected, so the feasibility report's
+    # det_check is det S of the dipole table
     def test_diagonal_ones(self):
-        fields = FieldSet([1, 1, 1], np.eye(3), 1.0)
-        assert det_s(fields, 0.0) == pytest.approx(1.0)
+        system = SystemSpec(3, 3, np.ones(3), np.eye(3))
+        report = check_feasibility(system, TargetSpec.basis(3))
+        assert report.det_check == pytest.approx(1.0)
 
     def test_common_envelope_factorization(self):
         rng = np.random.default_rng(3)
         m = 4
         fields = FieldSet(crandn(rng, m), crandn(rng, m, m) * 30, 1.4)
-        ref = det_s(fields, 0.0)
+        ref = np.linalg.det(s_matrix(fields, 0.0))
         for t in (-2.0, 0.7, 3.1):
             expected = ref * np.exp(-m * (t / fields.width) ** 2)
-            assert det_s(fields, t) == pytest.approx(expected, rel=1e-10)
+            assert np.linalg.det(s_matrix(fields, t)) == pytest.approx(
+                expected, rel=1e-10)
 
     def test_reference_against_exact_elimination(self, fig2):
-        _, fields = fig2
+        system, fields = fig2
         table = np.real(fields.peak_rabi_stokes).astype(int)
         assert bareiss_det(table) == FIG2_DET_EXACT
-        assert det_s(fields, 0.0) == pytest.approx(FIG2_DET_EXACT, rel=1e-12)
-
-    def test_rejects_rectangular(self):
-        fields = FieldSet([1, 1], [[1, 1, 1], [1, 1, 1]], 1.0)
-        with pytest.raises(ValueError):
-            det_s(fields, 0.0)
+        report = check_feasibility(system, TargetSpec.basis(7))
+        assert report.selected_rows == tuple(range(1, 8))
+        assert report.det_check == pytest.approx(FIG2_DET_EXACT, rel=1e-12)
 
 
 class TestCofactorMatrix:
@@ -207,18 +215,18 @@ class TestTracking:
         vals, vecs = np.linalg.eigh(h)
         seed = make_null_vector(vecs[:, 1], 0.0)
         grid = np.linspace(0.0, 1.0, 11)
-        track = track_eigenvector(lambda t: h, seed, grid)
-        for vec in track:
-            assert phase_aligned_overlap(vec.components, vecs[:, 1]) > 1 - 1e-12
+        frames = track_null_frame(lambda t: h, [seed], grid)
+        for (vec,) in frames:
+            assert abs(np.vdot(vec.components, vecs[:, 1])) > 1 - 1e-12
 
     def test_reference_track_keeps_nodes(self, fig2):
         system, fields = fig2
         grid = np.linspace(-4.0, 5.0, 181)
         seed = analytic_lambda1(system, fields, grid[0])
-        track = track_eigenvector(
-            lambda t: hamiltonian(system, fields, t), seed, grid,
+        frames = track_null_frame(
+            lambda t: hamiltonian(system, fields, t), [seed], grid,
             system=system)
-        for vec in track:
+        for (vec,) in frames:
             assert vec.label is NullVectorLabel.LAMBDA1
 
     def test_partner_tracks_stay_off_transfer_states(self):
@@ -246,7 +254,7 @@ class TestTracking:
         h = np.diag([1.0, 2.0, 3.0]).astype(complex)
         seed = make_null_vector(np.array([1, 1, 0]) / np.sqrt(2), 0.0)
         with pytest.raises(ValueError, match="eigenvector"):
-            track_eigenvector(lambda t: h, seed, [0.0, 1.0])
+            track_null_frame(lambda t: h, [seed], [0.0, 1.0])
 
     def test_tracking_lost_on_coarse_grid(self):
         # between the two samples the eigenbasis jumps from the standard to
@@ -260,7 +268,7 @@ class TestTracking:
 
         seed = make_null_vector(np.eye(8)[0], 0.0)
         with pytest.raises(TrackingLost):
-            track_eigenvector(sampler, seed, [0.0, 1.0])
+            track_null_frame(sampler, [seed], [0.0, 1.0])
         pair = [seed, make_null_vector(np.eye(8)[1], 0.0)]
         with pytest.raises(TrackingLost):
             track_null_frame(sampler, pair, [0.0, 1.0])
@@ -343,22 +351,11 @@ class TestTracking:
                                    make_null_vector(vecs[:, 3], 0.0)], grid)
         assert calls == grid.tolist()
 
-    def test_eigenvector_is_one_seed_frame(self, fig2):
-        system, fields = fig2
-        grid = np.linspace(-4.0, 5.0, 91)
-        seed = analytic_lambda1(system, fields, grid[0])
 
-        def sampler(t):
-            return hamiltonian(system, fields, t)
-
-        track = track_eigenvector(sampler, seed, grid, system=system)
-        frames = track_null_frame(sampler, [seed], grid, system=system)
-        assert len(track) == len(frames) == grid.size
-        for vec, frame in zip(track, frames):
-            assert np.array_equal(vec.components, frame[0].components)
-            assert np.array_equal(vec.node_profile, frame[0].node_profile)
-            assert vec.label is frame[0].label
-            assert vec.vector.time == frame[0].vector.time
+def one_seed_track(h, seed, grid):
+    """Track of one eigenvector of the constant Hamiltonian ``h``."""
+    frames = track_null_frame(lambda t: h, [make_null_vector(seed, 0.0)], grid)
+    return [frame[0] for frame in frames]
 
 
 class TestNonadiabaticCoupling:
@@ -368,10 +365,8 @@ class TestNonadiabaticCoupling:
         h = a + a.conj().T
         _, vecs = np.linalg.eigh(h)
         grid = np.linspace(0.0, 1.0, 21)
-        track_a = track_eigenvector(lambda t: h,
-                                    make_null_vector(vecs[:, 0], 0.0), grid)
-        track_b = track_eigenvector(lambda t: h,
-                                    make_null_vector(vecs[:, 2], 0.0), grid)
+        track_a = one_seed_track(h, vecs[:, 0], grid)
+        track_b = one_seed_track(h, vecs[:, 2], grid)
         for diag in nonadiabatic_coupling(track_a, track_b, grid):
             assert diag.chi < 1e-12
 
@@ -413,10 +408,8 @@ class TestNonadiabaticCoupling:
         h = np.diag([1.0, -1.0]).astype(complex)
         _, vecs = np.linalg.eigh(h)
         grid = [0.0, 1.0]
-        track_a = track_eigenvector(lambda t: h,
-                                    make_null_vector(vecs[:, 0], 0.0), grid)
-        track_b = track_eigenvector(lambda t: h,
-                                    make_null_vector(vecs[:, 1], 0.0), grid)
+        track_a = one_seed_track(h, vecs[:, 0], grid)
+        track_b = one_seed_track(h, vecs[:, 1], grid)
         with pytest.raises(ValueError, match="grid"):
             nonadiabatic_coupling(track_a, track_b, grid)
 

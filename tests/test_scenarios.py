@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+import stirapkit.scenarios
 from stirapkit import (ScenarioError, TargetSpec, Trajectory, builtin_names,
                        builtin_scenario, config_hash, load_scenario, run,
                        scenario_to_dict, sweep, write_trajectory_csv)
@@ -402,6 +403,34 @@ class TestSweep:
         parallel = sweep(scenario, "amplitude-scale", [1.0, 2.0], jobs=2)
         for a, b in zip(serial, parallel):
             assert a.record.summary_dict() == b.record.summary_dict()
+
+    @pytest.mark.parametrize("jobs", [None, 64])
+    def test_pool_no_larger_than_value_count(self, monkeypatch, jobs):
+        # a fork-based pool starts all its workers on the first submit; the
+        # stand-in records its size and runs the tasks in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
+        monkeypatch.setattr(stirapkit.scenarios, "ProcessPoolExecutor",
+                            InProcessPool)
+        scenario = load_scenario_from(small_scenario_dict())
+        entries = sweep(scenario, "eta", [0.5, 2.0], jobs=jobs)
+        assert sizes == [2]
+        assert [e.value for e in entries] == [0.5, 2.0]
+        assert all(e.record is not None for e in entries)
 
     @pytest.mark.parametrize("axis", ["amplitude-scale", "eta"])
     def test_overflowing_value_is_bad_input(self, axis):
