@@ -57,8 +57,10 @@ ORTHONORMAL_TOL = 1e-8
 COUPLING_REL_CHANGE = 0.01
 MAX_DOUBLINGS = 6
 
-# Grid points per stacked ``eigh`` call during tracking: amortises numpy's
-# per-call overhead while a block of 16x16 Hamiltonians stays about 1 MB.
+# Grid points per eigen-block of tracking.  Each block costs one stacked
+# ``eigh``, one run of the continuation rule and a batched transport of the
+# frame (more only where the transport must restart), so numpy's per-call
+# overhead is paid per block; a block of 16x16 Hamiltonians is about 1 MB.
 TRACK_BLOCK = 256
 
 
@@ -284,6 +286,89 @@ def _eigen_blocks(h_sampler, grid: np.ndarray):
         yield times, h, vals, vecs, same
 
 
+def _continue(vecs: np.ndarray, same: np.ndarray, prev: np.ndarray, t):
+    """The continuation rule at one grid point, from the frame ``prev``.
+
+    Returns the new frame and, per member, the index of the eigenvector it
+    overlaps most.
+    """
+    overlaps = vecs.conj().T @ prev
+    best = np.abs(overlaps).argmax(axis=0)
+    q, r = np.linalg.qr(vecs @ (same[:, best] * overlaps))
+    kept = r.diagonal() != 0
+    if not kept.all():
+        raise TrackingLost(f"frame member {kept.argmin()} vanished at t = {t:g}")
+    aligned = np.vecdot(q, prev, axis=0)
+    weight = np.abs(aligned)
+    kept = weight >= MIN_OVERLAP
+    if not kept.all():
+        k = kept.argmin()
+        raise TrackingLost(
+            f"overlap {weight[k]:.3f} below {MIN_OVERLAP} for frame "
+            f"member {k} at t = {t:g}; refine the time grid")
+    return q * (aligned / weight), best
+
+
+def _transport(vecs: np.ndarray, same: np.ndarray, moved: np.ndarray,
+               best: np.ndarray) -> int:
+    """Transport the frame ``moved[0]``, the rule's result at ``vecs[0]``.
+
+    Members whose best eigenvectors share a cluster form a group, and a group
+    stays in the span ``U_g`` of its cluster's eigenvectors at point g.  In
+    the coordinates ``C_g`` of that span the rule reads
+    ``C_g R_g = T_g C_{g-1}`` with ``T_g = U_g^H U_{g-1}``: projection,
+    Gram-Schmidt and phase pin are one QR with a real positive diagonal, and
+    that diagonal holds the step overlaps.  So ``C_g`` is the Q factor of
+    ``T_g...T_1 C_0``; one prefix product and one stacked QR give every point
+    at once, and their R diagonal is the accumulated overlap, the product of
+    the step overlaps so far.
+
+    Writes the frames at ``vecs[1:]`` into ``moved[1:]`` and returns how
+    many leading points of ``moved`` hold the rule's frame: ``vecs[0]``, then
+    each point at which every member's best eigenvector keeps the cluster it
+    started in and every group's accumulated overlap is at least
+    ``MIN_OVERLAP``.  Step overlaps are at most 1, so the latter keeps every
+    step overlap at least ``MIN_OVERLAP`` too, and it keeps the prefix
+    product well conditioned.  Groups whose clusters share an index, or that
+    outnumber their cluster, are not transported (1 point).
+    """
+    n = vecs.shape[0] - 1
+    frame = moved[0]
+    clusters = same[0][:, best]
+    groups: dict[bytes, list[int]] = {}
+    for k in range(frame.shape[1]):
+        groups.setdefault(clusters[:, k].tobytes(), []).append(k)
+    masks = [clusters[:, cols[0]] for cols in groups.values()]
+    if (n == 0 or np.sum(masks, axis=0).max() > 1
+            or any(len(cols) > mask.sum()
+                   for cols, mask in zip(groups.values(), masks))):
+        return 1
+
+    held = np.ones(n, dtype=bool)
+    for cols, mask in zip(groups.values(), masks):
+        u = vecs[:, :, mask]
+        product = u[1:].conj().swapaxes(1, 2) @ u[:-1]
+        span = 1
+        while span < n:
+            product[span:] = product[span:] @ product[:-span]
+            span *= 2
+        q, r = np.linalg.qr(product @ (u[0].conj().T @ frame[:, cols]))
+        pinned = r.diagonal(axis1=1, axis2=2)
+        accumulated = np.abs(pinned)
+        phase = np.divide(pinned, accumulated, out=np.ones_like(pinned),
+                          where=accumulated > 0)
+        moved[1:, :, cols] = u[1:] @ (q * phase[:, None, :])
+        held &= accumulated.prod(axis=1) >= MIN_OVERLAP
+
+    # |F^H V| rather than |V^H F|: conjugates the (n, d, K) frames, not the
+    # (n, d, d) eigenvectors
+    moved_best = np.abs(moved[:-1].conj().swapaxes(1, 2) @ vecs[1:]).argmax(axis=2)
+    held &= (np.take_along_axis(same[1:], moved_best[:, None, :], axis=2)
+             == clusters).all(axis=(1, 2))
+    failed = np.flatnonzero(~held)
+    return 1 + (int(failed[0]) if failed.size else n)
+
+
 def track_null_frame(h_sampler, seeds, grid,
                      system: SystemSpec | None = None) -> list[list[NullVector]]:
     """Track several mutually orthogonal eigenvectors as one orthonormal frame.
@@ -301,6 +386,16 @@ def track_null_frame(h_sampler, seeds, grid,
     :class:`TrackingLost` when a member vanishes, when its step-to-step
     overlap drops below ``MIN_OVERLAP``, or when a sampled Hamiltonian is not
     finite.  Returns one frame (list parallel to ``seeds``) per grid point.
+
+    The rule runs point by point only where it must.  At the first point of
+    each eigen-block it runs as stated; from there the frame is transported
+    through the rest of the block in a few stacked products
+    (:func:`_transport`), and every transported point is checked in one
+    batch: each member's best eigenvector keeps its cluster, and the
+    overlaps accumulated since the transport began stay at or above
+    ``MIN_OVERLAP``.  At the first point that fails a check, the rule runs as
+    stated again: it raises the error it would have raised, or the transport
+    restarts from that point.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 1:
@@ -314,27 +409,17 @@ def track_null_frame(h_sampler, seeds, grid,
     for times, h, vals, vecs, same in _eigen_blocks(h_sampler, grid):
         if idx == 0:
             _check_seed(h[0], vals[0], prev)
-        for g, t in enumerate(times):
-            overlaps = vecs[g].conj().T @ prev
-            best = np.abs(overlaps).argmax(axis=0)
-            q, r = np.linalg.qr(vecs[g] @ (same[g][:, best] * overlaps))
-            kept = r.diagonal() != 0
-            if not kept.all():
-                raise TrackingLost(
-                    f"frame member {kept.argmin()} vanished at t = {t:g}")
-            aligned = np.vecdot(q, prev, axis=0)
-            weight = np.abs(aligned)
-            kept = weight >= MIN_OVERLAP
-            if not kept.all():
-                k = kept.argmin()
-                raise TrackingLost(
-                    f"overlap {weight[k]:.3f} below {MIN_OVERLAP} for frame "
-                    f"member {k} at t = {t:g}; refine the time grid")
-            prev = q * (aligned / weight)
-            if idx == 0:
+        g = 0
+        while g < times.size:
+            prev, best = _continue(vecs[g], same[g], prev, times[g])
+            if idx + g == 0:
                 prev = _fix_phase(prev.T).T
-            frames[idx] = prev.T
-            idx += 1
+            moved = frames[idx + g:idx + times.size].swapaxes(1, 2)
+            moved[0] = prev
+            kept = _transport(vecs[g:], same[g:], moved, best)
+            prev = moved[kept - 1]
+            g += kept
+        idx += times.size
 
     profiles = np.abs(frames) < NODE_TOL
     labels = _labels(profiles, system)

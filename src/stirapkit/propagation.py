@@ -68,6 +68,11 @@ class PropagationConfig:
             raise ValueError("t_start must precede t_end")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
+        # solve_ivp raises any smaller rel_tol to this floor, with a warning
+        floor = 100 * np.finfo(float).eps
+        if self.rel_tol < floor:
+            raise ValueError(f"rel_tol must be at least {floor:.3g} "
+                             "(100 machine epsilons, the integrator's floor)")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
         if self.output_stride <= 0:

@@ -93,6 +93,17 @@ class TestRun:
         assert result.exit_code == 1
         assert "error: propagation config:" in result.output
 
+    def test_rel_tol_below_integrator_floor(self, runner, tmp_path):
+        # solve_ivp would lift the value to 100 machine epsilons with a
+        # warning, while config_hash and the record kept the requested one
+        ref = write_scenario(tmp_path, mini_dict())
+        result = runner.invoke(main, ["run", ref, "--rel-tol", "1e-300",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        assert "error: propagation config: rel_tol must be at least 2.22e-14" \
+            in result.output
+        assert not (tmp_path / "mini.csv").exists()
+
     def test_flag_overrides(self, runner, tmp_path):
         ref = write_scenario(tmp_path, mini_dict())
         result = runner.invoke(main, [

@@ -12,6 +12,7 @@ from stirapkit import (DesignError, FieldSet, NullVectorLabel, SystemSpec,
                        numeric_null_space, phase_aligned_distance,
                        track_null_frame)
 
+from stirapkit import nullspace
 from stirapkit.nullspace import TRACK_BLOCK
 
 from helpers import (bareiss_det, crandn, intermediate_null_seeds, node_label,
@@ -350,6 +351,130 @@ class TestTracking:
         track_null_frame(sampler, [make_null_vector(vecs[:, 0], 0.0),
                                    make_null_vector(vecs[:, 3], 0.0)], grid)
         assert calls == grid.tolist()
+
+
+def rotating_sampler(seed, levels, joined=None):
+    """``U(t) diag(levels) U(t)^H`` with ``U(t) = expm(i t A)``, A random Hermitian.
+
+    Inside the closed interval ``joined`` the third level is zero.
+    """
+    import scipy.linalg
+    rng = np.random.default_rng(seed)
+    a = crandn(rng, len(levels), len(levels))
+    generator = a + a.conj().T
+
+    def sampler(t):
+        diagonal = np.array(levels, dtype=float)
+        if joined is not None and joined[0] <= t <= joined[1]:
+            diagonal[2] = 0.0
+        u = scipy.linalg.expm(1j * t * generator)
+        return u @ np.diag(diagonal) @ u.conj().T
+
+    return sampler
+
+
+class TestTrackingRestarts:
+    """Where the block transport must hand over to the point-by-point rule."""
+
+    @staticmethod
+    def rule_times(monkeypatch):
+        """Times at which the point-by-point rule runs, recorded as it runs."""
+        times = []
+        rule = nullspace._continue
+
+        def recorded(vecs, same, prev, t):
+            times.append(float(t))
+            return rule(vecs, same, prev, t)
+
+        monkeypatch.setattr(nullspace, "_continue", recorded)
+        return times
+
+    @staticmethod
+    def assert_matches_reference(sampler, seeds, grid):
+        frames = track_null_frame(sampler, seeds, grid)
+        expected = reference_null_frame(
+            sampler, [s.components for s in seeds], grid)
+        got = np.array([[v.components for v in f] for f in frames])
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max() <= 1e-12
+        assert all(v.label is NullVectorLabel.GENERIC
+                   for f in frames for v in f)
+
+    def test_eigenvalue_joins_and_leaves_cluster(self, monkeypatch):
+        # a third level drops onto the tracked twofold zero in the middle of
+        # the first block and rises again before it ends
+        joined = (0.3, 0.45)
+        sampler = rotating_sampler(19, [0.0, 0.0, 0.5, 1.0, 2.5, -1.5],
+                                   joined)
+        grid = np.linspace(0.0, 1.0, TRACK_BLOCK + 60)
+        seeds = [make_null_vector(v, 0.0) for v in np.eye(6)[[0, 1, 3]]]
+        times = self.rule_times(monkeypatch)
+        self.assert_matches_reference(sampler, seeds, grid)
+        first_in = grid[grid >= joined[0]][0]
+        first_out = grid[grid > joined[1]][0]
+        assert {grid[0], first_in, first_out, grid[TRACK_BLOCK]} <= set(times)
+        assert len(times) < grid.size // 10
+
+    def test_rotating_threefold_across_block_boundary(self):
+        sampler = rotating_sampler(18, [0.0, 0.0, 0.0, 1.0, 2.5, -1.5])
+        grid = np.linspace(0.0, 1.0, TRACK_BLOCK + 45)
+        seeds = [make_null_vector(v, 0.0) for v in np.eye(6)[:4]]
+        self.assert_matches_reference(sampler, seeds, grid)
+
+    def test_coarse_grid(self):
+        # the cluster turns through a large angle per step; the transport
+        # must restart often enough to stay as accurate as the point rule
+        sampler = rotating_sampler(23, [0.0, 0.0, 0.0, 1.0, 2.5, -1.5, 4.0,
+                                        -3.0])
+        grid = np.linspace(0.0, 20.0, TRACK_BLOCK)
+        seeds = [make_null_vector(v, 0.0) for v in np.eye(8)[:3]]
+        self.assert_matches_reference(sampler, seeds, grid)
+
+    def test_low_overlap_with_same_best_eigenvector(self):
+        # at the jump the tracked vector's best eigenvector keeps its index
+        # and its (non-degenerate) cluster, but overlaps it by only 0.45
+        c = np.sqrt((1.0 - 0.45 ** 2) / 4.0)
+        w = np.array([0.45 - 1.0, c, c, c, c])
+        reflector = np.eye(5) - 2.0 * np.outer(w, w) / (w @ w)
+        d = np.diag(np.arange(1.0, 6.0))
+        grid = np.linspace(0.0, 1.0, 300)
+        jump = grid[100]
+
+        def sampler(t):
+            return d if t < jump else reflector @ d @ reflector
+
+        seeds = [make_null_vector(np.eye(5)[0], 0.0)]
+        with pytest.raises(TrackingLost) as lost:
+            track_null_frame(sampler, seeds, grid)
+        assert str(lost.value) == (
+            f"overlap 0.450 below 0.5 for frame member 0 at t = {jump:g}; "
+            "refine the time grid")
+        with pytest.raises(RuntimeError, match=f"lost at t = {jump:g}$"):
+            reference_null_frame(sampler, [s.components for s in seeds], grid)
+
+    @pytest.mark.parametrize("member", [0, 1])
+    def test_jump_inside_second_block(self, member):
+        # at grid point TRACK_BLOCK + 40 the upper half of the eigenbasis
+        # turns into the Hadamard basis: every overlap there is 1/sqrt(8)
+        import scipy.linalg
+        w = np.eye(16)
+        w[8:, 8:] = scipy.linalg.hadamard(8) / np.sqrt(8)
+        d = np.diag(np.arange(1.0, 17.0))
+        grid = np.linspace(0.0, 1.0, TRACK_BLOCK + 100)
+        jump = grid[TRACK_BLOCK + 40]
+
+        def sampler(t):
+            return d if t < jump else w @ d @ w.T
+
+        rows = (8, 0) if member == 0 else (0, 8)
+        seeds = [make_null_vector(np.eye(16)[k], 0.0) for k in rows]
+        with pytest.raises(TrackingLost) as lost:
+            track_null_frame(sampler, seeds, grid)
+        assert str(lost.value) == (
+            f"overlap 0.354 below 0.5 for frame member {member} at "
+            f"t = {jump:g}; refine the time grid")
+        with pytest.raises(RuntimeError, match=f"lost at t = {jump:g}$"):
+            reference_null_frame(sampler, [s.components for s in seeds], grid)
 
 
 def one_seed_track(h, seed, grid):

@@ -40,6 +40,14 @@ class TestConfig:
             PropagationConfig(t_start=-4.0, t_end=5.0, output_stride=8e-6)
         PropagationConfig(t_start=-4.0, t_end=5.0, output_stride=1e-5)
 
+    def test_rel_tol_floor(self):
+        # the integrator's own floor is 100 machine epsilons
+        floor = 100 * np.finfo(float).eps
+        for tiny in (1e-300, 0.99 * floor):
+            with pytest.raises(ValueError, match="rel_tol must be at least"):
+                PropagationConfig(rel_tol=tiny)
+        assert PropagationConfig(rel_tol=floor).rel_tol == floor
+
     @pytest.mark.parametrize("setting", ["t_start", "t_end", "rel_tol",
                                          "abs_tol", "max_step", "output_stride"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
