@@ -16,6 +16,7 @@ Conventions (natural units, hbar = 1):
   the pump envelope at t = T.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -121,6 +122,14 @@ class FieldSet:
         return max(np.abs(self.peak_rabi_pump).max(initial=0.0),
                    np.abs(self.peak_rabi_stokes).max(initial=0.0))
 
+    @functools.cached_property
+    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """``coupling_blocks(self)``, read-only, built on first use."""
+        blocks = coupling_blocks(self)
+        for block in blocks:
+            block.setflags(write=False)
+        return blocks
+
     def scaled(self, factor: float) -> "FieldSet":
         """All peak amplitudes multiplied by ``factor``; width unchanged."""
         return FieldSet(self.peak_rabi_pump * factor,
@@ -131,19 +140,41 @@ class FieldSet:
         return FieldSet(self.peak_rabi_pump, self.peak_rabi_stokes, width)
 
 
+def _frozen(arr) -> bool:
+    """Whether ``arr`` may be kept without a copy.
+
+    True for a read-only complex ndarray whose memory owner (itself or its
+    ``base``) is a read-only ndarray.  A read-only view of a writeable array
+    is not: writes to its owner would show through it.
+    """
+    if (type(arr) is not np.ndarray or arr.dtype != complex
+            or arr.flags.writeable):
+        return False
+    owner = arr if arr.base is None else arr.base
+    return (type(owner) is np.ndarray and owner.flags.owndata
+            and not owner.flags.writeable)
+
+
 @dataclass(frozen=True)
 class StateVector:
-    """State of the full system: complex amplitudes ordered (z0; x_1..x_N; y_1..y_M)."""
+    """State of the full system: complex amplitudes ordered (z0; x_1..x_N; y_1..y_M).
+
+    ``components`` is always read-only.  Input that is already frozen (see
+    :func:`_frozen`), such as a row of a read-only frame stack, is kept as it
+    is; any other input is copied, so later writes to it never reach the
+    state.
+    """
 
     components: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        arr = np.asarray(self.components, dtype=complex)
+        arr = self.components
+        if not _frozen(arr):
+            arr = np.array(arr, dtype=complex)
+            arr.setflags(write=False)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("state vector must be a nonempty 1-d array")
-        arr = arr.copy()
-        arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
 
     @property
@@ -193,9 +224,10 @@ def hamiltonian(system: SystemSpec, fields: FieldSet, t: float) -> np.ndarray:
     Row/column 0 couples to the intermediates through the pump amplitudes and
     the intermediates couple to the degenerate manifold through the Stokes
     amplitudes; every other entry, including the whole diagonal, is exactly
-    zero (resonant couplings, no intermediate-intermediate coupling).
+    zero (resonant couplings, no intermediate-intermediate coupling).  The
+    two coupling blocks are built once per field set and reused.
     """
     system.check_fields(fields)
-    h_pump, h_stokes = coupling_blocks(fields)
+    h_pump, h_stokes = fields._blocks
     return (pump_envelope(t, fields.width) * h_pump
             + stokes_envelope(t, fields.width) * h_stokes)

@@ -76,32 +76,27 @@ class NullVectorLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class NullVector:
-    """A dressed eigenvector with its per-component node flags.
+    """A dressed eigenvector with its label.
 
     ``Lambda1`` marks the transfer-carrying vector (nodes on all intermediate
     states and on every degenerate state but the last); ``Lambda3`` marks its
     degenerate partners supported on the intermediates alone (nodes on the
-    initial state and the whole degenerate manifold).
+    initial state and the whole degenerate manifold).  The node flags are
+    derived from the components on request (:attr:`node_profile`), by the
+    same rule the label was computed with.
     """
 
     vector: StateVector
-    node_profile: np.ndarray
     label: NullVectorLabel
-
-    def __post_init__(self):
-        profile = np.asarray(self.node_profile, dtype=bool).copy()
-        if profile.shape != self.vector.components.shape:
-            raise ValueError("node profile must match the state vector shape")
-        profile.setflags(write=False)
-        object.__setattr__(self, "node_profile", profile)
 
     @property
     def components(self) -> np.ndarray:
         return self.vector.components
 
     @property
-    def node_count(self) -> int:
-        return int(self.node_profile.sum())
+    def node_profile(self) -> np.ndarray:
+        """Per-component node flags: ``|c| < NODE_TOL``."""
+        return _node_profile(self.components)
 
 
 @dataclass(frozen=True)
@@ -113,8 +108,14 @@ class CouplingDiagnostics:
     time: float
 
     def __post_init__(self):
-        if self.chi < 0:
-            raise ValueError("coupling strength cannot be negative")
+        if not self.chi >= 0:
+            raise ValueError(f"coupling strength must be a non-negative "
+                             f"number, got {self.chi}")
+
+
+def _node_profile(components: np.ndarray) -> np.ndarray:
+    """Node flags of unit vectors stacked along the last axis."""
+    return np.abs(components) < NODE_TOL
 
 
 _LABELS = np.array([NullVectorLabel.GENERIC, NullVectorLabel.LAMBDA1,
@@ -135,11 +136,10 @@ def _labels(profiles: np.ndarray, system: SystemSpec | None) -> np.ndarray:
 
 def make_null_vector(components: np.ndarray, time: float,
                      system: SystemSpec | None = None) -> NullVector:
-    """Wrap a unit vector with its node profile and (if the split is known) label."""
-    components = np.asarray(components, dtype=complex)
-    profile = np.abs(components) < NODE_TOL
-    return NullVector(StateVector(components, time), profile,
-                      _labels(profile[None], system)[0])
+    """Wrap a unit vector with its label (GENERIC unless the split is known)."""
+    vector = StateVector(components, time)
+    return NullVector(vector,
+                      _labels(_node_profile(vector.components)[None], system)[0])
 
 
 def cofactor_matrix(s: np.ndarray) -> np.ndarray:
@@ -385,7 +385,8 @@ def track_null_frame(h_sampler, seeds, grid,
     (largest-component convention at the start).  Raises
     :class:`TrackingLost` when a member vanishes, when its step-to-step
     overlap drops below ``MIN_OVERLAP``, or when a sampled Hamiltonian is not
-    finite.  Returns one frame (list parallel to ``seeds``) per grid point.
+    finite.  Returns one frame (list parallel to ``seeds``) per grid point;
+    the vectors' components are read-only views of one frame stack.
 
     The rule runs point by point only where it must.  At the first point of
     each eigen-block it runs as stated; from there the frame is transported
@@ -421,20 +422,28 @@ def track_null_frame(h_sampler, seeds, grid,
             g += kept
         idx += times.size
 
-    profiles = np.abs(frames) < NODE_TOL
-    labels = _labels(profiles, system)
-    return [[NullVector(StateVector(vec, t), profile, label)
-             for vec, profile, label in zip(*point)]
-            for t, *point in zip(grid.tolist(), frames, profiles, labels)]
+    # read-only, so each StateVector keeps a view of its row, not a copy
+    frames.setflags(write=False)
+    labels = _labels(_node_profile(frames), system)
+    return [[NullVector(StateVector(vec, t), label)
+             for vec, label in zip(frame, frame_labels)]
+            for t, frame, frame_labels in zip(grid.tolist(), frames, labels)]
 
 
-def nonadiabatic_coupling(track_a, track_b, grid) -> list[CouplingDiagnostics]:
-    """Coupling strength |<a(t), db/dt>| along two tracks, central differences.
-
-    Both tracks must live on the same grid and be orthonormal pairs at every
-    point.  Interior grid points only; needs at least three points.
-    """
+def _time_grid(grid) -> np.ndarray:
+    """``grid`` as floats; raises unless it is finite and strictly increasing."""
     grid = np.asarray(grid, dtype=float)
+    if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
+        raise ValueError("time grid must be finite and strictly increasing")
+    return grid
+
+
+def _coupling_chi(track_a, track_b, grid: np.ndarray) -> np.ndarray:
+    """|<a(t), db/dt>| at the interior points of a checked grid, as one array.
+
+    Raises unless the tracks match the grid and are orthonormal pairs at
+    every point.
+    """
     if not (len(track_a) == len(track_b) == grid.size):
         raise ValueError("tracks and grid must have equal length")
     if grid.size < 3:
@@ -450,7 +459,18 @@ def nonadiabatic_coupling(track_a, track_b, grid) -> list[CouplingDiagnostics]:
         raise ValueError(
             f"tracks are not an orthonormal pair at t = {grid[broken[0]]:g}")
     db = (b[2:] - b[:-2]) / (grid[2:] - grid[:-2])[:, None]
-    chi = np.abs(np.vecdot(a[1:-1], db))
+    return np.abs(np.vecdot(a[1:-1], db))
+
+
+def nonadiabatic_coupling(track_a, track_b, grid) -> list[CouplingDiagnostics]:
+    """Coupling strength |<a(t), db/dt>| along two tracks, central differences.
+
+    Both tracks must live on the same grid, finite and strictly increasing,
+    and be orthonormal pairs at every point.  Interior grid points only;
+    needs at least three points.
+    """
+    grid = _time_grid(grid)
+    chi = _coupling_chi(track_a, track_b, grid)
     return [CouplingDiagnostics(c, (va.label.value, vb.label.value), t)
             for c, va, vb, t in zip(chi.tolist(), track_a[1:-1], track_b[1:-1],
                                     grid[1:-1].tolist())]
@@ -500,15 +520,15 @@ def converged_max_coupling(tracks_for, t_start: float, t_end: float,
     The coupling is a derivative quantity, so the grid is refined (points
     doubled) until the maximum changes by less than ``COUPLING_REL_CHANGE``
     of itself or the change falls below ``atol``.  Returns
-    ``(chi_max, points_used, converged)``.
+    ``(chi_max, points_used, converged)``; a NaN coupling anywhere on a grid
+    makes ``chi_max`` NaN, which never counts as converged.  Raises
+    ValueError unless the window gives a finite, strictly increasing grid.
     """
     previous = None
     points = n_points
     for _ in range(MAX_DOUBLINGS + 1):
-        grid = np.linspace(t_start, t_end, points)
-        track_a, track_b = tracks_for(grid)
-        diags = nonadiabatic_coupling(track_a, track_b, grid)
-        chi_max = max(d.chi for d in diags)
+        grid = _time_grid(np.linspace(t_start, t_end, points))
+        chi_max = float(np.max(_coupling_chi(*tracks_for(grid), grid)))
         if previous is not None and abs(chi_max - previous) <= max(
                 COUPLING_REL_CHANGE * chi_max, atol):
             return chi_max, points, True

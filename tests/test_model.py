@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from stirapkit import (FieldSet, StateVector, SystemSpec, TargetSpec,
-                       design_fields, ground_state, hamiltonian,
-                       matched_pump_rabi)
+                       coupling_blocks, design_fields, ground_state,
+                       hamiltonian, matched_pump_rabi, pump_envelope,
+                       stokes_envelope)
 
 from helpers import crandn, random_feasible_system
 
@@ -197,3 +198,86 @@ class TestTypes:
         widened = fields.with_width(2.0)
         assert widened.width == 2.0
         assert widened.peak_rabi_stokes[0, 0] == 4.0
+
+
+class TestStateVectorCopies:
+    """A state copies its input unless no one can write to that memory."""
+
+    def test_writeable_array_is_copied(self):
+        values = np.array([1.0, 2.0j, 0.5])
+        state = StateVector(values)
+        values[0] = 9.0
+        assert state.components[0] == 1.0
+        assert not state.components.flags.writeable
+        assert not np.shares_memory(state.components, values)
+
+    def test_read_only_view_of_writeable_array_is_copied(self):
+        base = np.zeros(4, dtype=complex)
+        view = base[:]
+        view.setflags(write=False)
+        state = StateVector(view)
+        base[0] = 5.0
+        assert np.all(state.components == 0)
+        assert not np.shares_memory(state.components, base)
+
+    def test_row_of_read_only_stack_is_kept(self):
+        stack = np.arange(12, dtype=complex).reshape(2, 2, 3).copy()
+        stack.setflags(write=False)
+        row = stack[1][0]
+        state = StateVector(row)
+        assert state.components is row
+        assert np.array_equal(state.components, [6, 7, 8])
+
+    def test_read_only_real_array_is_copied_as_complex(self):
+        values = np.array([1.0, 0.0])
+        values.setflags(write=False)
+        state = StateVector(values)
+        assert state.components.dtype == complex
+        assert not state.components.flags.writeable
+
+    def test_read_only_input_still_checked(self):
+        stack = np.ones((2, 3), dtype=complex)
+        stack.setflags(write=False)
+        with pytest.raises(ValueError, match="1-d"):
+            StateVector(stack)
+        with pytest.raises(ValueError, match="1-d"):
+            StateVector(stack[0, :0])
+
+
+class TestCouplingBlockCache:
+    """``hamiltonian`` reuses one set of blocks per field set."""
+
+    @staticmethod
+    def weighted_blocks(fields, t):
+        h_pump, h_stokes = coupling_blocks(fields)
+        return (pump_envelope(t, fields.width) * h_pump
+                + stokes_envelope(t, fields.width) * h_stokes)
+
+    def test_hamiltonian_equals_weighted_blocks(self):
+        rng = np.random.default_rng(31)
+        system = random_feasible_system(rng, 3, 2)
+        fields = FieldSet(crandn(rng, 3), crandn(rng, 3, 2) * 40, 1.3)
+        for t in (-4.0, -0.7, 0.0, 0.65, 1.3, 2.9, 6.0):
+            assert np.array_equal(hamiltonian(system, fields, t),
+                                  self.weighted_blocks(fields, t))
+
+    def test_returned_matrix_does_not_alias_the_blocks(self):
+        fields = simple_fields()
+        h = hamiltonian(THREE_LEVEL, fields, 0.5)
+        h[:] = 0.0
+        assert np.array_equal(hamiltonian(THREE_LEVEL, fields, 0.5),
+                              self.weighted_blocks(fields, 0.5))
+
+    def test_derived_field_sets_build_their_own_blocks(self):
+        fields = simple_fields(pump=60.0, stokes=90.0, width=1.0)
+        before = hamiltonian(THREE_LEVEL, fields, 0.4)
+        scaled = fields.scaled(2.0)
+        widened = fields.with_width(3.0)
+        for derived in (scaled, widened):
+            for t in (-1.0, 0.4, 2.0):
+                assert np.array_equal(hamiltonian(THREE_LEVEL, derived, t),
+                                      self.weighted_blocks(derived, t))
+        assert rabi_pump(scaled, 1.0) == pytest.approx(120.0)
+        assert not np.array_equal(hamiltonian(THREE_LEVEL, scaled, 0.4),
+                                  before)
+        assert np.array_equal(hamiltonian(THREE_LEVEL, fields, 0.4), before)

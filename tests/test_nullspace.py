@@ -1,10 +1,13 @@
 """Dark-state structure: Stokes block, cofactors, null spaces, tracking."""
 
+import math
+
 import numpy as np
 import pytest
 
-from stirapkit import (DesignError, FieldSet, NullVectorLabel, SystemSpec,
-                       TargetSpec, TrackingLost, analytic_lambda1,
+from stirapkit import (CouplingDiagnostics, DesignError, FieldSet,
+                       NullVectorLabel, SystemSpec, TargetSpec, TrackingLost,
+                       analytic_lambda1,
                        analytic_pair_tracks, builtin_scenario,
                        check_feasibility, cofactor_matrix,
                        converged_max_coupling, hamiltonian, make_null_vector,
@@ -13,7 +16,7 @@ from stirapkit import (DesignError, FieldSet, NullVectorLabel, SystemSpec,
                        track_null_frame)
 
 from stirapkit import nullspace
-from stirapkit.nullspace import TRACK_BLOCK
+from stirapkit.nullspace import NODE_TOL, TRACK_BLOCK
 
 from helpers import (bareiss_det, crandn, intermediate_null_seeds, node_label,
                      random_designed_fields, random_feasible_system,
@@ -544,3 +547,100 @@ class TestNonadiabaticCoupling:
         track = [make_null_vector(v, t) for t in grid]
         with pytest.raises(ValueError, match="orthonormal"):
             nonadiabatic_coupling(track, track, grid)
+
+
+def constant_tracks(grid):
+    """Two fixed orthonormal tracks on ``grid``: their coupling is zero."""
+    e0, e1 = np.eye(2, dtype=complex)
+    return ([make_null_vector(e0, t) for t in grid],
+            [make_null_vector(e1, t) for t in grid])
+
+
+class TestCouplingInputs:
+    """A grid or a coupling that is not a number is an error, never a pass."""
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                      [0.0, math.nan, 2.0],
+                                      [0.0, 1.0, math.inf]])
+    def test_rejects_bad_grid(self, grid):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            nonadiabatic_coupling(*constant_tracks(grid), grid)
+
+    def test_rejects_infinite_window(self):
+        # np.linspace(0, inf) starts [nan, inf, ...]
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                converged_max_coupling(constant_tracks, 0.0, math.inf)
+
+    def test_rejects_empty_window(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            converged_max_coupling(constant_tracks, 1.0, 1.0)
+
+    def test_constant_tracks_converge_to_zero(self):
+        assert converged_max_coupling(constant_tracks, 0.0, 1.0) == (
+            0.0, 401, True)
+
+    def test_nan_coupling_strength_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            CouplingDiagnostics(math.nan, ("Lambda1", "Lambda3"), 0.0)
+        with pytest.raises(ValueError, match="non-negative"):
+            CouplingDiagnostics(-1e-3, ("Lambda1", "Lambda3"), 0.0)
+
+    def test_overflowing_difference_rejected(self):
+        # steps this small overflow the central difference to a NaN coupling
+        grid = np.linspace(0.0, 1e-310, 11)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-negative"):
+                nonadiabatic_coupling(*constant_tracks(grid), grid)
+
+    def test_nan_inside_grid_is_not_skipped(self, monkeypatch):
+        # Python's max() keeps 0.3 here; a NaN anywhere must reach the caller
+        monkeypatch.setattr(nullspace, "_coupling_chi",
+                            lambda a, b, grid: np.array([0.1, math.nan, 0.3]))
+        chi_max, _, converged = converged_max_coupling(
+            constant_tracks, 0.0, 1.0)
+        assert math.isnan(chi_max)
+        assert not converged
+
+
+class TestPackaging:
+    """What tracking and the vector constructors hand out."""
+
+    def test_tracked_components_are_read_only(self, fig2):
+        system, fields = fig2
+        grid = np.linspace(-4.0, 5.0, 2 * TRACK_BLOCK + 7)
+        seed = analytic_lambda1(system, fields, grid[0])
+        frames = track_null_frame(lambda t: hamiltonian(system, fields, t),
+                                  [seed], grid, system=system)
+        for frame in frames:
+            assert not frame[0].components.flags.writeable
+        with pytest.raises(ValueError):
+            frames[3][0].components[0] = 1.0
+
+    def test_node_profile_rule(self):
+        rng = np.random.default_rng(32)
+        system = random_feasible_system(rng, 3, 2)
+        fields, target, _ = random_designed_fields(rng, system)
+        grid = np.linspace(-4.0, 5.0, 61)
+        lam1 = analytic_lambda1(system, fields, grid[0], target)
+        seeds = [lam1] + [make_null_vector(v, grid[0], system)
+                          for v in intermediate_null_seeds(fields)]
+        frames = track_null_frame(lambda t: hamiltonian(system, fields, t),
+                                  seeds, grid, system=system)
+        h = hamiltonian(system, fields, 0.3)
+        stokes = crandn(rng, 2, 3) * 50
+        excess = SystemSpec(2, 3, np.ones(2), stokes)
+        excess_fields = FieldSet(
+            matched_pump_rabi(stokes, TargetSpec.basis(3), 1.0), stokes, 1.0)
+        carriers, partners = analytic_pair_tracks(
+            excess, excess_fields, grid[:5], TargetSpec.basis(3))
+        vectors = ([make_null_vector(np.array([1.0, 1e-11, 0.5]), 0.0)]
+                   + seeds
+                   + numeric_null_space(h, system=system, time=0.3)
+                   + [v for frame in frames for v in frame]
+                   + carriers + partners)
+        for vec in vectors:
+            assert np.array_equal(vec.node_profile,
+                                  np.abs(vec.components) < NODE_TOL)
+        assert lam1.node_profile.sum() == (
+            system.n_intermediate + system.n_degenerate - 1)
