@@ -2,24 +2,24 @@
 
 The package splits into five parts: :mod:`~stirapkit.model` (system, field
 set, Gaussian envelopes, dressed Hamiltonian), :mod:`~stirapkit.nullspace`
-(closed-form and SVD dark states, null-frame tracking, nonadiabatic
-coupling), :mod:`~stirapkit.design` (feasibility, phase-matched fields,
-verification), :mod:`~stirapkit.propagation` (time integration and
-population bookkeeping) and :mod:`~stirapkit.scenarios` (reproducible runs
-and parameter sweeps, the width ladder among them, also exposed through the
-``stirapkit`` command line)."""
+(closed-form and SVD dark states as labelled state vectors, null-frame
+tracking, converged peak nonadiabatic coupling), :mod:`~stirapkit.design`
+(feasibility, phase-matched fields, verification),
+:mod:`~stirapkit.propagation` (time integration and population bookkeeping)
+and :mod:`~stirapkit.scenarios` (reproducible runs and parameter sweeps, the
+width ladder among them, also exposed through the ``stirapkit`` command
+line)."""
 
 from .model import (FieldSet, StateVector, SystemSpec, coupling_blocks,
                     ground_state, hamiltonian, pump_envelope, stokes_envelope)
 from .design import (DesignError, DesignReport, TargetSpec, VerifyResult,
                      check_feasibility, design_fields, effective_dipoles,
                      matched_pump_rabi, verify_design)
-from .nullspace import (CouplingDiagnostics, NullVector, NullVectorLabel,
-                        TrackingLost, analytic_lambda1, analytic_pair_tracks,
+from .nullspace import (NullVector, NullVectorLabel, TrackingLost,
+                        analytic_lambda1, analytic_pair_tracks,
                         cofactor_matrix, converged_max_coupling,
-                        make_null_vector, nonadiabatic_coupling,
-                        numeric_null_space, phase_aligned_distance,
-                        track_null_frame)
+                        make_null_vector, numeric_null_space,
+                        phase_aligned_distance, track_null_frame)
 from .propagation import (PropagationConfig, PropagationError, Trajectory,
                           populations, propagate)
 from .scenarios import (Bounds, DesignRequest, RunRecord, Scenario,
@@ -39,10 +39,9 @@ __all__ = [
     "effective_dipoles", "check_feasibility", "design_fields",
     "matched_pump_rabi", "verify_design",
     # nullspace
-    "NullVector", "NullVectorLabel", "CouplingDiagnostics", "TrackingLost",
-    "make_null_vector", "cofactor_matrix", "numeric_null_space",
-    "analytic_lambda1", "track_null_frame", "nonadiabatic_coupling",
-    "analytic_pair_tracks", "converged_max_coupling",
+    "NullVector", "NullVectorLabel", "TrackingLost", "make_null_vector",
+    "cofactor_matrix", "numeric_null_space", "analytic_lambda1",
+    "track_null_frame", "analytic_pair_tracks", "converged_max_coupling",
     "phase_aligned_distance",
     # propagation
     "PropagationError", "PropagationConfig", "Trajectory", "propagate",

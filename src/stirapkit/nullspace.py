@@ -6,14 +6,17 @@ on the initial state and the target direction.  This module constructs that
 vector in closed form (:func:`analytic_lambda1`), finds it numerically
 (:func:`numeric_null_space`, the SVD oracle), follows it and its degenerate
 partners through time as one frame (:func:`track_null_frame`) and measures
-the nonadiabatic coupling between tracks.  :func:`cofactor_matrix` gives the
-signed minors of the cofactor identity; the N = M condition ``det S != 0`` on
-the Stokes block is :attr:`~stirapkit.design.DesignReport.det_check`.
+the peak nonadiabatic coupling between two tracks on a refined grid
+(:func:`converged_max_coupling`).  Every vector it hands out is a
+:class:`NullVector`, a :class:`~stirapkit.model.StateVector` with a label.
+:func:`cofactor_matrix` gives the signed minors of the cofactor identity; the
+N = M condition ``det S != 0`` on the Stokes block is
+:attr:`~stirapkit.design.DesignReport.det_check`.
 """
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,14 +27,12 @@ __all__ = [
     "NODE_TOL",
     "NullVectorLabel",
     "NullVector",
-    "CouplingDiagnostics",
     "TrackingLost",
     "make_null_vector",
     "cofactor_matrix",
     "numeric_null_space",
     "analytic_lambda1",
     "track_null_frame",
-    "nonadiabatic_coupling",
     "analytic_pair_tracks",
     "converged_max_coupling",
     "phase_aligned_distance",
@@ -75,42 +76,25 @@ class NullVectorLabel(enum.Enum):
 
 
 @dataclass(frozen=True)
-class NullVector:
-    """A dressed eigenvector with its label.
+class NullVector(StateVector):
+    """A dressed eigenvector: a state vector with a label.
 
     ``Lambda1`` marks the transfer-carrying vector (nodes on all intermediate
     states and on every degenerate state but the last); ``Lambda3`` marks its
     degenerate partners supported on the intermediates alone (nodes on the
-    initial state and the whole degenerate manifold).  The node flags are
-    derived from the components on request (:attr:`node_profile`), by the
-    same rule the label was computed with.
+    initial state and the whole degenerate manifold).  Construct it as
+    ``NullVector(components, time, label=...)``; the components follow the
+    :class:`~stirapkit.model.StateVector` rules.  The node flags are derived
+    from the components on request (:attr:`node_profile`), by the same rule
+    the label was computed with.
     """
 
-    vector: StateVector
-    label: NullVectorLabel
-
-    @property
-    def components(self) -> np.ndarray:
-        return self.vector.components
+    label: NullVectorLabel = field(kw_only=True)
 
     @property
     def node_profile(self) -> np.ndarray:
         """Per-component node flags: ``|c| < NODE_TOL``."""
         return _node_profile(self.components)
-
-
-@dataclass(frozen=True)
-class CouplingDiagnostics:
-    """Nonadiabatic coupling magnitude between two tracked vectors at one time."""
-
-    chi: float
-    pair: tuple[str, str]
-    time: float
-
-    def __post_init__(self):
-        if not self.chi >= 0:
-            raise ValueError(f"coupling strength must be a non-negative "
-                             f"number, got {self.chi}")
 
 
 def _node_profile(components: np.ndarray) -> np.ndarray:
@@ -136,10 +120,9 @@ def _labels(profiles: np.ndarray, system: SystemSpec | None) -> np.ndarray:
 
 def make_null_vector(components: np.ndarray, time: float,
                      system: SystemSpec | None = None) -> NullVector:
-    """Wrap a unit vector with its label (GENERIC unless the split is known)."""
-    vector = StateVector(components, time)
-    return NullVector(vector,
-                      _labels(_node_profile(vector.components)[None], system)[0])
+    """Label a unit vector (GENERIC unless the split is known)."""
+    profile = _node_profile(np.asarray(components, dtype=complex))
+    return NullVector(components, time, label=_labels(profile[None], system)[0])
 
 
 def cofactor_matrix(s: np.ndarray) -> np.ndarray:
@@ -422,20 +405,12 @@ def track_null_frame(h_sampler, seeds, grid,
             g += kept
         idx += times.size
 
-    # read-only, so each StateVector keeps a view of its row, not a copy
+    # read-only, so each vector keeps a view of its row, not a copy
     frames.setflags(write=False)
     labels = _labels(_node_profile(frames), system)
-    return [[NullVector(StateVector(vec, t), label)
+    return [[NullVector(vec, t, label=label)
              for vec, label in zip(frame, frame_labels)]
             for t, frame, frame_labels in zip(grid.tolist(), frames, labels)]
-
-
-def _time_grid(grid) -> np.ndarray:
-    """``grid`` as floats; raises unless it is finite and strictly increasing."""
-    grid = np.asarray(grid, dtype=float)
-    if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
-        raise ValueError("time grid must be finite and strictly increasing")
-    return grid
 
 
 def _coupling_chi(track_a, track_b, grid: np.ndarray) -> np.ndarray:
@@ -460,20 +435,6 @@ def _coupling_chi(track_a, track_b, grid: np.ndarray) -> np.ndarray:
             f"tracks are not an orthonormal pair at t = {grid[broken[0]]:g}")
     db = (b[2:] - b[:-2]) / (grid[2:] - grid[:-2])[:, None]
     return np.abs(np.vecdot(a[1:-1], db))
-
-
-def nonadiabatic_coupling(track_a, track_b, grid) -> list[CouplingDiagnostics]:
-    """Coupling strength |<a(t), db/dt>| along two tracks, central differences.
-
-    Both tracks must live on the same grid, finite and strictly increasing,
-    and be orthonormal pairs at every point.  Interior grid points only;
-    needs at least three points.
-    """
-    grid = _time_grid(grid)
-    chi = _coupling_chi(track_a, track_b, grid)
-    return [CouplingDiagnostics(c, (va.label.value, vb.label.value), t)
-            for c, va, vb, t in zip(chi.tolist(), track_a[1:-1], track_b[1:-1],
-                                    grid[1:-1].tolist())]
 
 
 def analytic_pair_tracks(system: SystemSpec, fields: FieldSet, grid,
@@ -527,7 +488,9 @@ def converged_max_coupling(tracks_for, t_start: float, t_end: float,
     previous = None
     points = n_points
     for _ in range(MAX_DOUBLINGS + 1):
-        grid = _time_grid(np.linspace(t_start, t_end, points))
+        grid = np.linspace(t_start, t_end, points)
+        if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
+            raise ValueError("time grid must be finite and strictly increasing")
         chi_max = float(np.max(_coupling_chi(*tracks_for(grid), grid)))
         if previous is not None and abs(chi_max - previous) <= max(
                 COUPLING_REL_CHANGE * chi_max, atol):

@@ -3,9 +3,10 @@
 Integrates ``i dpsi/dt = H(t) psi`` (hbar = 1) with an adaptive high-order
 Runge-Kutta method on the complex state.  The right-hand side reuses the
 factorization of the Hamiltonian into two constant Hermitian blocks times
-scalar Gaussian envelopes: both blocks, premultiplied by -i, are stacked into
-one matrix once per field set, so each evaluation is one matvec with the
-stack and one two-term contraction with the two envelope values.
+scalar Gaussian envelopes: both blocks, built once per field set and
+premultiplied by -i, are stacked into one matrix once per run, so each
+evaluation is one matvec with the stack and one two-term contraction with the
+two envelope values.
 
 Window, stride and step limits are expressed in units of the pulse width;
 peak Rabi amplitudes keep their own reciprocal-time units, so sweeping the
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import TargetSpec
-from .model import (FieldSet, StateVector, SystemSpec, coupling_blocks,
-                    pump_envelope, stokes_envelope)
+from .model import (FieldSet, StateVector, SystemSpec, pump_envelope,
+                    stokes_envelope)
 
 __all__ = [
     "PropagationError",
@@ -149,7 +150,7 @@ def _sample_times(config: PropagationConfig, width: float) -> np.ndarray:
 
 
 def _make_rhs(fields: FieldSet):
-    h_pump, h_stokes = coupling_blocks(fields)
+    h_pump, h_stokes = fields._blocks
     dim = h_pump.shape[0]
     # the (dim, 2, dim) stack of -1j*H_pump and -1j*H_stokes, viewed as one
     # (2*dim, dim) matrix: row pair (2i, 2i+1) holds row i of both blocks

@@ -24,8 +24,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .design import (DesignError, TargetSpec, check_feasibility, design_fields,
-                     matched_pump_rabi, verify_design)
+from .design import (DesignError, TargetSpec, design_fields, matched_pump_rabi,
+                     verify_design)
 from .model import FieldSet, SystemSpec, ground_state
 from .propagation import PropagationConfig, Trajectory, propagate
 
@@ -389,6 +389,8 @@ def load_scenario(path) -> Scenario:
             raw = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"{p}: not valid JSON: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ScenarioError(f"{p}: cannot read: {exc}") from exc
         return _scenario_from_dict(raw)
     if str(path) in builtin_names():
         return builtin_scenario(str(path))
@@ -610,11 +612,7 @@ def run(scenario: Scenario, out_dir=None) -> tuple[RunRecord, Trajectory]:
     ``<label>.json`` (summary record) into it.
     """
     started = datetime.now(timezone.utc).isoformat()
-    feasible: bool | None = None
-    if scenario.design is not None:
-        report = check_feasibility(scenario.system, scenario.target,
-                                   scenario.design.eta)
-        feasible = report.feasible
+    # design_fields raises DesignError unless the design is feasible
     fields = scenario.resolve_fields()
     verdict = verify_design(scenario.system, fields, scenario.target)
 
@@ -626,7 +624,7 @@ def run(scenario: Scenario, out_dir=None) -> tuple[RunRecord, Trajectory]:
     record = RunRecord(
         label=scenario.label,
         config_hash=config_hash(scenario),
-        design_feasible=feasible,
+        design_feasible=True if scenario.design is not None else None,
         design_verified=verdict.ok,
         design_residual=verdict.residual,
         design_eta=verdict.eta,
@@ -649,6 +647,16 @@ def run(scenario: Scenario, out_dir=None) -> tuple[RunRecord, Trajectory]:
     return record, traj
 
 
+def _sweep_label(scenario: Scenario, axis: str, value: float,
+                 pump_index: int) -> str:
+    """Label, and so file stem, of the run a sweep derives at ``value``."""
+    tag = {"width": f"width x{value:g}",
+           "amplitude-scale": f"amp x{value:g}",
+           "phase-perturbation": f"phase P{pump_index} +{value:g}",
+           "eta": f"eta {value:g}"}[axis]
+    return f"{scenario.label}[{tag}]"
+
+
 def _derive_scenario(scenario: Scenario, axis: str, value: float,
                      pump_index: int) -> Scenario:
     fields = scenario.resolve_fields()
@@ -661,28 +669,22 @@ def _derive_scenario(scenario: Scenario, axis: str, value: float,
             if value <= 0:
                 raise ScenarioError("width factors must be positive")
             width = width * value
-            tag = f"width x{value:g}"
         elif axis == "amplitude-scale":
             pump, stokes = pump * value, stokes * value
-            tag = f"amp x{value:g}"
         elif axis == "phase-perturbation":
             if not 1 <= pump_index <= fields.n_intermediate:
                 raise ScenarioError(f"unknown pump index {pump_index}")
             pump = pump.copy()
             pump[pump_index - 1] *= np.exp(1j * value)
-            tag = f"phase P{pump_index} +{value:g}"
         elif axis == "eta":
             pump = matched_pump_rabi(stokes, scenario.target, complex(value))
-            tag = f"eta {value:g}"
-        else:
-            raise ScenarioError(f"unknown sweep axis {axis!r}; "
-                                f"choose from {SWEEP_AXES}")
     try:
         new_fields = FieldSet(pump, stokes, width)
     except ValueError as exc:
         raise ScenarioError(f"{axis} {value:g}: {exc}") from exc
-    return dataclasses.replace(scenario, label=f"{scenario.label}[{tag}]",
-                               fields=new_fields, design=None)
+    return dataclasses.replace(
+        scenario, label=_sweep_label(scenario, axis, value, pump_index),
+        fields=new_fields, design=None)
 
 
 def _sweep_worker(args) -> SweepEntry:
@@ -706,7 +708,8 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
     given ratio).  With more than one job the entries execute in a process
     pool of at most one worker per value; either way they are returned in
     input order.  When ``out_dir`` is given, each run writes its files there
-    and ``sweep.csv`` tabulates all entries.
+    and ``sweep.csv`` tabulates all entries.  Values whose run labels
+    coincide (labels print values with ``:g``) are rejected before any run.
     """
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -715,6 +718,14 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
         raise ScenarioError("sweep needs at least one value")
     if not all(np.isfinite(values)):
         raise ScenarioError("sweep values must be finite")
+    # runs that share a label share output files, and their table rows read alike
+    seen: dict[str, float] = {}
+    for v in values:
+        label = _sweep_label(scenario, axis, v, pump_index)
+        if label in seen:
+            raise ScenarioError(f"sweep values {seen[label]!r} and {v!r} both "
+                                f"give the run label {label!r}")
+        seen[label] = v
     tasks = [(scenario, axis, v, pump_index, out_dir) for v in values]
     if jobs is None:
         jobs = os.cpu_count() or 1

@@ -80,6 +80,15 @@ class TestRun:
         assert result.exit_code == 1
         assert "error" in result.output
 
+    def test_undecodable_file_exits_1(self, runner, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe not UTF-8")
+        result = runner.invoke(main, ["run", str(path)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {path}: ")
+        assert len(result.output.splitlines()) == 1
+
     @pytest.mark.parametrize("flag", [["--window", "5", "-4"],
                                       ["--rel-tol", "-1"],
                                       ["--stride", "nan"],
@@ -225,6 +234,19 @@ class TestSweep:
         result = runner.invoke(main, ["sweep", ref, *args, "--jobs", "1"])
         assert result.exit_code == 1, result.output
         assert "ScenarioError" in result.output
+
+    def test_values_with_one_label_exit_1(self, runner, tmp_path):
+        # both values print as 1, so both runs would write mini_amp_x1_.*
+        ref = write_scenario(tmp_path, mini_dict())
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "sweep", ref, "--axis", "amplitude-scale",
+            "--values", "1.0000001,1.0000002", "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(
+            "error: sweep values 1.0000001 and 1.0000002 both give the run "
+            "label 'mini[amp x1]'")
+        assert not out.exists()
 
     def test_bad_values_string(self, runner, tmp_path):
         ref = write_scenario(tmp_path, mini_dict())

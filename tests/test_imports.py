@@ -21,12 +21,13 @@ MODULES = ["stirapkit.model", "stirapkit.design", "stirapkit.nullspace",
            "stirapkit.propagation", "stirapkit.scenarios"]
 
 # Second paths to results the package reaches through design_fields,
-# hamiltonian, track_null_frame, propagate, check_feasibility and
-# ``sweep --axis width``.
+# hamiltonian, track_null_frame, propagate, check_feasibility,
+# converged_max_coupling and ``sweep --axis width``.
 DELETED = ["PulseSpec", "fieldset_from_pulses", "rabi_pump", "rabi_stokes",
            "reduce_channels", "s_matrix", "det_s", "track_eigenvector",
            "phase_aligned_overlap", "evolve_state", "adiabaticity_report",
-           "LadderRung", "AdiabaticityReport"]
+           "LadderRung", "AdiabaticityReport", "nonadiabatic_coupling",
+           "CouplingDiagnostics"]
 
 
 @pytest.mark.parametrize("module", ["stirapkit"] + MODULES)

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from stirapkit import (CouplingDiagnostics, DesignError, FieldSet,
-                       NullVectorLabel, SystemSpec, TargetSpec, TrackingLost,
-                       analytic_lambda1,
+from stirapkit import (DesignError, FieldSet, NullVectorLabel, StateVector,
+                       SystemSpec, TargetSpec, TrackingLost, analytic_lambda1,
                        analytic_pair_tracks, builtin_scenario,
                        check_feasibility, cofactor_matrix,
                        converged_max_coupling, hamiltonian, make_null_vector,
-                       matched_pump_rabi, nonadiabatic_coupling,
-                       numeric_null_space, phase_aligned_distance,
-                       track_null_frame)
+                       matched_pump_rabi, numeric_null_space,
+                       phase_aligned_distance, track_null_frame)
 
 from stirapkit import nullspace
 from stirapkit.nullspace import NODE_TOL, TRACK_BLOCK
@@ -486,33 +484,42 @@ def one_seed_track(h, seed, grid):
     return [frame[0] for frame in frames]
 
 
+def one_seed_tracks(h, seed_a, seed_b):
+    """``tracks_for`` of two eigenvectors of the constant Hamiltonian ``h``."""
+    return lambda grid: (one_seed_track(h, seed_a, grid),
+                         one_seed_track(h, seed_b, grid))
+
+
 class TestNonadiabaticCoupling:
     def test_constant_hamiltonian_zero_coupling(self):
         rng = np.random.default_rng(13)
         a = crandn(rng, 4, 4)
         h = a + a.conj().T
         _, vecs = np.linalg.eigh(h)
-        grid = np.linspace(0.0, 1.0, 21)
-        track_a = one_seed_track(h, vecs[:, 0], grid)
-        track_b = one_seed_track(h, vecs[:, 2], grid)
-        for diag in nonadiabatic_coupling(track_a, track_b, grid):
-            assert diag.chi < 1e-12
+        chi_max, _, _ = converged_max_coupling(
+            one_seed_tracks(h, vecs[:, 0], vecs[:, 2]), 0.0, 1.0, n_points=21)
+        assert chi_max < 1e-12
 
     def test_decoupled_partners_below_threshold(self):
         rng = np.random.default_rng(14)
         system = random_feasible_system(rng, 3, 2)
         fields, target, _ = random_designed_fields(rng, system)
-        grid = np.linspace(-4.0, 5.0, 241)
         sampler = lambda t: hamiltonian(system, fields, t)
-        lam1 = analytic_lambda1(system, fields, grid[0], target)
-        partner = make_null_vector(intermediate_null_seeds(fields)[0],
-                                   grid[0], system)
-        frames = track_null_frame(sampler, [lam1, partner], grid,
-                                  system=system)
-        diags = nonadiabatic_coupling([f[0] for f in frames],
-                                      [f[1] for f in frames], grid)
-        assert max(d.chi for d in diags) < 1e-8 / fields.width
-        assert diags[0].pair == ("Lambda1", "Lambda3")
+        pairs = []
+
+        def tracks_for(grid):
+            lam1 = analytic_lambda1(system, fields, grid[0], target)
+            partner = make_null_vector(intermediate_null_seeds(fields)[0],
+                                       grid[0], system)
+            frames = track_null_frame(sampler, [lam1, partner], grid,
+                                      system=system)
+            pairs.append((frames[1][0].label.value, frames[1][1].label.value))
+            return [f[0] for f in frames], [f[1] for f in frames]
+
+        chi_max, _, _ = converged_max_coupling(tracks_for, -4.0, 5.0,
+                                               n_points=241)
+        assert chi_max < 1e-8 / fields.width
+        assert pairs[0] == ("Lambda1", "Lambda3")
 
     def test_excess_degeneracy_couples(self):
         # more degenerate states than intermediates: the partner shares
@@ -535,18 +542,19 @@ class TestNonadiabaticCoupling:
     def test_grid_too_short(self):
         h = np.diag([1.0, -1.0]).astype(complex)
         _, vecs = np.linalg.eigh(h)
-        grid = [0.0, 1.0]
-        track_a = one_seed_track(h, vecs[:, 0], grid)
-        track_b = one_seed_track(h, vecs[:, 1], grid)
         with pytest.raises(ValueError, match="grid"):
-            nonadiabatic_coupling(track_a, track_b, grid)
+            converged_max_coupling(one_seed_tracks(h, vecs[:, 0], vecs[:, 1]),
+                                   0.0, 1.0, n_points=2)
 
     def test_rejects_non_orthonormal_pair(self):
-        grid = np.linspace(0, 1, 5)
         v = np.array([1.0, 0.0], dtype=complex)
-        track = [make_null_vector(v, t) for t in grid]
+
+        def tracks_for(grid):
+            track = [make_null_vector(v, t) for t in grid]
+            return track, track
+
         with pytest.raises(ValueError, match="orthonormal"):
-            nonadiabatic_coupling(track, track, grid)
+            converged_max_coupling(tracks_for, 0.0, 1.0, n_points=5)
 
 
 def constant_tracks(grid):
@@ -559,12 +567,12 @@ def constant_tracks(grid):
 class TestCouplingInputs:
     """A grid or a coupling that is not a number is an error, never a pass."""
 
-    @pytest.mark.parametrize("grid", [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0],
-                                      [0.0, math.nan, 2.0],
-                                      [0.0, 1.0, math.inf]])
-    def test_rejects_bad_grid(self, grid):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            nonadiabatic_coupling(*constant_tracks(grid), grid)
+    @pytest.mark.parametrize("window", [(1.0, 0.0), (0.0, math.nan),
+                                        (math.nan, 1.0)])
+    def test_rejects_bad_window(self, window):
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                converged_max_coupling(constant_tracks, *window)
 
     def test_rejects_infinite_window(self):
         # np.linspace(0, inf) starts [nan, inf, ...]
@@ -580,18 +588,13 @@ class TestCouplingInputs:
         assert converged_max_coupling(constant_tracks, 0.0, 1.0) == (
             0.0, 401, True)
 
-    def test_nan_coupling_strength_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
-            CouplingDiagnostics(math.nan, ("Lambda1", "Lambda3"), 0.0)
-        with pytest.raises(ValueError, match="non-negative"):
-            CouplingDiagnostics(-1e-3, ("Lambda1", "Lambda3"), 0.0)
-
     def test_overflowing_difference_rejected(self):
         # steps this small overflow the central difference to a NaN coupling
-        grid = np.linspace(0.0, 1e-310, 11)
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="non-negative"):
-                nonadiabatic_coupling(*constant_tracks(grid), grid)
+            chi_max, _, converged = converged_max_coupling(
+                constant_tracks, 0.0, 1e-310, n_points=11)
+        assert math.isnan(chi_max)
+        assert not converged
 
     def test_nan_inside_grid_is_not_skipped(self, monkeypatch):
         # Python's max() keeps 0.3 here; a NaN anywhere must reach the caller
@@ -616,6 +619,26 @@ class TestPackaging:
             assert not frame[0].components.flags.writeable
         with pytest.raises(ValueError):
             frames[3][0].components[0] = 1.0
+
+    def test_tracked_vectors_are_rows_of_one_stack(self):
+        rng = np.random.default_rng(33)
+        system = random_feasible_system(rng, 3, 2)
+        fields, target, _ = random_designed_fields(rng, system)
+        grid = np.linspace(-4.0, 5.0, TRACK_BLOCK + 9)
+        seeds = [analytic_lambda1(system, fields, grid[0], target)]
+        seeds += [make_null_vector(v, grid[0], system)
+                  for v in intermediate_null_seeds(fields)]
+        frames = track_null_frame(lambda t: hamiltonian(system, fields, t),
+                                  seeds, grid, system=system)
+        stack = frames[0][0].components.base
+        assert stack.shape == (grid.size, len(seeds), system.dim)
+        assert not stack.flags.writeable
+        for g, frame in enumerate(frames):
+            for k, vec in enumerate(frame):
+                assert isinstance(vec, StateVector)
+                assert vec.time == grid[g]
+                assert vec.components.base is stack
+                assert np.shares_memory(vec.components, stack[g, k])
 
     def test_node_profile_rule(self):
         rng = np.random.default_rng(32)

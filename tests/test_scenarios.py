@@ -442,6 +442,23 @@ class TestSweep:
         assert entries[0].status == (f"ScenarioError: {axis} 1e+307: "
                                      "peak_rabi_pump must be finite")
 
+    @pytest.mark.parametrize("axis, values", [
+        ("amplitude-scale", [1.0000001, 1.0000002]),
+        ("width", [2.0, 3.0, 2.0]),
+        ("phase-perturbation", [0.1, 0.10000001]),
+        ("eta", [1.0, 1.0]),
+    ])
+    def test_coinciding_labels_rejected(self, monkeypatch, axis, values):
+        # runs that share a label write the same files; no run may start
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(stirapkit.scenarios, "_sweep_worker", no_run)
+        scenario = load_scenario_from(small_scenario_dict())
+        with pytest.raises(ScenarioError, match=f"sweep values {values[0]!r} "
+                                                f"and {values[-1]!r}"):
+            sweep(scenario, axis, values, jobs=1)
+
     def test_axis_validation(self):
         scenario = load_scenario_from(small_scenario_dict())
         with pytest.raises(ScenarioError, match="axis"):
