@@ -413,6 +413,14 @@ def track_null_frame(h_sampler, seeds, grid,
             for t, frame, frame_labels in zip(grid.tolist(), frames, labels)]
 
 
+def _time_grid(grid) -> np.ndarray:
+    """``grid`` as floats; raises unless it is finite and strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
+        raise ValueError("time grid must be finite and strictly increasing")
+    return grid
+
+
 def _coupling_chi(track_a, track_b, grid: np.ndarray) -> np.ndarray:
     """|<a(t), db/dt>| at the interior points of a checked grid, as one array.
 
@@ -488,9 +496,7 @@ def converged_max_coupling(tracks_for, t_start: float, t_end: float,
     previous = None
     points = n_points
     for _ in range(MAX_DOUBLINGS + 1):
-        grid = np.linspace(t_start, t_end, points)
-        if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
-            raise ValueError("time grid must be finite and strictly increasing")
+        grid = _time_grid(np.linspace(t_start, t_end, points))
         chi_max = float(np.max(_coupling_chi(*tracks_for(grid), grid)))
         if previous is not None and abs(chi_max - previous) <= max(
                 COUPLING_REL_CHANGE * chi_max, atol):

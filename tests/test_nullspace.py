@@ -567,6 +567,14 @@ def constant_tracks(grid):
 class TestCouplingInputs:
     """A grid or a coupling that is not a number is an error, never a pass."""
 
+    @pytest.mark.parametrize("grid", [[0.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                                      [0.0, math.nan, 2.0],
+                                      [0.0, 1.0, math.inf]])
+    def test_rejects_bad_grid(self, grid):
+        # the check every grid of converged_max_coupling passes before tracking
+        with pytest.raises(ValueError, match="strictly increasing"):
+            nullspace._time_grid(grid)
+
     @pytest.mark.parametrize("window", [(1.0, 0.0), (0.0, math.nan),
                                         (math.nan, 1.0)])
     def test_rejects_bad_window(self, window):
