@@ -429,8 +429,6 @@ def _coupling_chi(track_a, track_b, grid: np.ndarray) -> np.ndarray:
     """
     if not (len(track_a) == len(track_b) == grid.size):
         raise ValueError("tracks and grid must have equal length")
-    if grid.size < 3:
-        raise ValueError("grid too short for a central finite difference")
     a = np.array([v.components for v in track_a])
     b = np.array([v.components for v in track_b])
     deviation = np.maximum.reduce([
@@ -488,19 +486,32 @@ def converged_max_coupling(tracks_for, t_start: float, t_end: float,
     ``tracks_for(grid)`` must return the pair of tracks on the given grid.
     The coupling is a derivative quantity, so the grid is refined (points
     doubled) until the maximum changes by less than ``COUPLING_REL_CHANGE``
-    of itself or the change falls below ``atol``.  Returns
-    ``(chi_max, points_used, converged)``; a NaN coupling anywhere on a grid
-    makes ``chi_max`` NaN, which never counts as converged.  Raises
-    ValueError unless the window gives a finite, strictly increasing grid.
+    of itself or the change falls below ``atol``.  Each grid is tracked
+    once: the first has ``2 * n_points - 1`` points, and every other point
+    of its tracks gives the ``n_points`` estimate it is compared with; each
+    finer grid contains the one before and is compared with its maximum.
+    Returns ``(chi_max, points_used, converged)``, ``points_used`` being the
+    size of the last grid tracked.  A NaN coupling anywhere on a grid makes
+    its maximum NaN, which can never converge, so refinement stops there
+    with ``(nan, points_used, False)``.  Raises ValueError unless
+    ``n_points`` is at least 3 and the window gives a finite, strictly
+    increasing grid.
     """
-    previous = None
-    points = n_points
-    for _ in range(MAX_DOUBLINGS + 1):
+    if n_points < 3:
+        raise ValueError("grid too short for a central finite difference")
+    coarse = None
+    points = 2 * n_points - 1
+    for _ in range(MAX_DOUBLINGS):
         grid = _time_grid(np.linspace(t_start, t_end, points))
-        chi_max = float(np.max(_coupling_chi(*tracks_for(grid), grid)))
-        if previous is not None and abs(chi_max - previous) <= max(
-                COUPLING_REL_CHANGE * chi_max, atol):
+        track_a, track_b = tracks_for(grid)
+        chi_max = float(np.max(_coupling_chi(track_a, track_b, grid)))
+        if coarse is None:
+            coarse = float(np.max(_coupling_chi(track_a[::2], track_b[::2],
+                                                grid[::2])))
+        if math.isnan(coarse) or math.isnan(chi_max):
+            return math.nan, points, False
+        if abs(chi_max - coarse) <= max(COUPLING_REL_CHANGE * chi_max, atol):
             return chi_max, points, True
-        previous = chi_max
+        coarse = chi_max
         points = 2 * points - 1
-    return previous, (points + 1) // 2, False
+    return coarse, (points + 1) // 2, False

@@ -192,6 +192,14 @@ class Bounds:
     max_p_y: float | None = None
     min_final_p_f: float | None = None
 
+    def __post_init__(self):
+        # NaN slips past the schema's limits (every comparison with it is
+        # false), and an infinite limit bounds nothing
+        for name in ("max_p_x", "max_p_y", "min_final_p_f"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise ScenarioError(f"bound {name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class Scenario:

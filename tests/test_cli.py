@@ -63,6 +63,18 @@ class TestRun:
         assert result.exit_code == 2
         assert "BOUND VIOLATED" in result.output
 
+    def test_nan_bound_exits_1(self, runner, tmp_path, monkeypatch):
+        # rejected on load: no run starts and nothing reports a violation
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp", None)
+        raw = mini_dict(bounds={"max_p_x": float("nan")})
+        ref = write_scenario(tmp_path, raw)
+        result = runner.invoke(main, ["run", ref])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert "max_p_x must be finite" in result.output
+        assert len(result.output.splitlines()) == 1
+
     def test_infeasible_design_exit_code(self, runner, tmp_path):
         ref = write_scenario(tmp_path, infeasible_design_dict())
         result = runner.invoke(main, ["run", ref])

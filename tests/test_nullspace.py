@@ -614,6 +614,107 @@ class TestCouplingInputs:
         assert not converged
 
 
+def recording(tracks_for, grids):
+    """``tracks_for`` that also appends every grid it is asked for."""
+    def wrapped(grid):
+        grids.append(grid)
+        return tracks_for(grid)
+    return wrapped
+
+
+def separate_grids_max_coupling(tracks_for, t_start, t_end, n_points=201,
+                                atol=1e-15):
+    """Reference refinement that tracks every grid size from scratch.
+
+    Grids of n, 2n - 1, 4n - 3, ... points; each maximum is compared with
+    the maximum of the grid before it.
+    """
+    previous = None
+    points = n_points
+    for _ in range(nullspace.MAX_DOUBLINGS + 1):
+        grid = nullspace._time_grid(np.linspace(t_start, t_end, points))
+        chi_max = float(np.max(
+            nullspace._coupling_chi(*tracks_for(grid), grid)))
+        if previous is not None and abs(chi_max - previous) <= max(
+                nullspace.COUPLING_REL_CHANGE * chi_max, atol):
+            return chi_max, points, True
+        previous = chi_max
+        points = 2 * points - 1
+    return previous, (points + 1) // 2, False
+
+
+def excess_degeneracy_tracks():
+    """Explicit-gauge carrier/partner tracks of a seeded M > N system."""
+    rng = np.random.default_rng(15)
+    stokes = crandn(rng, 2, 3) * 50
+    system = SystemSpec(2, 3, np.ones(2), stokes)
+    target = TargetSpec.basis(3)
+    fields = FieldSet(matched_pump_rabi(stokes, target, 1.0), stokes, 1.0)
+    return lambda grid: analytic_pair_tracks(system, fields, grid, target)
+
+
+class TestNestedRefinement:
+    """Each grid is tracked once; the coarse maximum comes from the fine track."""
+
+    def test_seeded_system_tracks_nested_grids_once(self):
+        rng = np.random.default_rng(11)
+        system = random_feasible_system(rng, 3, 2)
+        fields, target, _ = random_designed_fields(rng, system)
+        sampler = lambda t: hamiltonian(system, fields, t)
+
+        def tracks_for(grid):
+            lam1 = analytic_lambda1(system, fields, grid[0], target)
+            partner = make_null_vector(intermediate_null_seeds(fields)[0],
+                                       grid[0], system)
+            frames = track_null_frame(sampler, [lam1, partner], grid,
+                                      system=system)
+            return [f[0] for f in frames], [f[1] for f in frames]
+
+        grids = []
+        _, points_used, _ = converged_max_coupling(
+            recording(tracks_for, grids), -4.0, 5.0, n_points=201)
+        sizes = [grid.size for grid in grids]
+        # roundoff-level coupling never settles to 1e-15: several grids
+        assert len(sizes) > 1
+        assert sizes == [400 * 2 ** k + 1 for k in range(len(sizes))]
+        assert points_used == sizes[-1]
+        for coarse, fine in zip(grids, grids[1:]):
+            assert np.array_equal(fine[::2], coarse)
+
+    @pytest.mark.parametrize("n_points, atol", [
+        (3, 1e-15), (5, 1e-15), (11, 0.0), (201, 1e-15), (201, 1e-2)])
+    def test_excess_degeneracy_matches_separate_grids(self, n_points, atol):
+        tracks_for = excess_degeneracy_tracks()
+        assert converged_max_coupling(
+            tracks_for, -4.0, 5.0, n_points=n_points, atol=atol) == (
+            separate_grids_max_coupling(
+                tracks_for, -4.0, 5.0, n_points=n_points, atol=atol))
+
+    @pytest.mark.parametrize("n_points", [3, 11, 201])
+    def test_constant_tracks_match_separate_grids(self, n_points):
+        assert converged_max_coupling(
+            constant_tracks, 0.0, 1.0, n_points=n_points) == (
+            separate_grids_max_coupling(
+                constant_tracks, 0.0, 1.0, n_points=n_points))
+
+    def test_nan_stops_refinement(self):
+        grids = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            chi_max, points_used, converged = converged_max_coupling(
+                recording(constant_tracks, grids), 0.0, 1e-310, n_points=11)
+        assert math.isnan(chi_max)
+        assert (points_used, converged) == (21, False)
+        assert [grid.size for grid in grids] == [21]
+
+    @pytest.mark.parametrize("n_points", [-1, 0, 1, 2])
+    def test_short_grid_rejected_before_tracking(self, n_points):
+        grids = []
+        with pytest.raises(ValueError, match="grid"):
+            converged_max_coupling(recording(constant_tracks, grids),
+                                   0.0, 1.0, n_points=n_points)
+        assert grids == []
+
+
 class TestPackaging:
     """What tracking and the vector constructors hand out."""
 

@@ -234,6 +234,18 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="target"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("max_p_x", math.nan), ("max_p_y", math.nan),
+        ("min_final_p_f", math.nan), ("max_p_x", math.inf),
+        ("max_p_y", math.inf)])
+    def test_non_finite_bound_rejected(self, tmp_path, key, value):
+        # json writes and reads NaN and Infinity, and the schema's
+        # "minimum": 0 lets NaN through
+        path = tmp_path / "bound.json"
+        path.write_text(json.dumps(small_scenario_dict(bounds={key: value})))
+        with pytest.raises(ScenarioError, match=f"{key} must be finite"):
+            load_scenario(path)
+
 
 # The canonical form of the built-ins, pinned: these hashes depend on the
 # scenario JSON alone, not on the integrator.
