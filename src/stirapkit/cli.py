@@ -133,7 +133,9 @@ def main():
 def design(scenario_ref, out_file):
     """Emit the feasibility/design report for SCENARIO_REF."""
     scenario = load_scenario(scenario_ref)
-    report = check_feasibility(scenario.system, scenario.target)
+    problem = (scenario.system, scenario.target)
+    report = (check_feasibility(*problem) if scenario.design is None
+              else check_feasibility(*problem, scenario.design.eta))
     fields = None
     if scenario.fields is not None or report.feasible:
         fields = scenario.resolve_fields()

@@ -162,7 +162,8 @@ def numeric_null_space(h: np.ndarray, tol: float | None = None,
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.allclose(h, h.conj().T, atol=1e-12 * max(1.0, np.abs(h).max())):
+    if not np.allclose(h, h.conj().T, rtol=0,
+                       atol=1e-12 * max(1.0, np.abs(h).max())):
         raise ValueError("expected a Hermitian matrix")
     _, singular, vh = np.linalg.svd(h)
     if tol is None:
@@ -407,10 +408,28 @@ def track_null_frame(h_sampler, seeds, grid,
 
     # read-only, so each vector keeps a view of its row, not a copy
     frames.setflags(write=False)
-    labels = _labels(_node_profile(frames), system)
-    return [[NullVector(vec, t, label=label)
-             for vec, label in zip(frame, frame_labels)]
-            for t, frame, frame_labels in zip(grid.tolist(), frames, labels)]
+    members = frames.shape[1]
+    vectors = list(map(_frame_vector, frames.reshape(-1, frames.shape[2]),
+                       np.repeat(grid, members).tolist(),
+                       _labels(_node_profile(frames), system).ravel()))
+    return [vectors[i:i + members] for i in range(0, len(vectors), members)]
+
+
+def _frame_vector(components: np.ndarray, time: float,
+                  label: NullVectorLabel) -> NullVector:
+    """``NullVector(components, time, label=label)`` for a frame-stack row.
+
+    Sets the three fields as the dataclass ``__init__`` does, without running
+    ``StateVector.__post_init__``.  That is safe here because each row is a
+    1-d, non-empty, read-only complex view whose owner is read-only and owns
+    its data, so ``model._frozen`` would keep it as it is and the check could
+    only pass.
+    """
+    vec = object.__new__(NullVector)
+    object.__setattr__(vec, "components", components)
+    object.__setattr__(vec, "time", time)
+    object.__setattr__(vec, "label", label)
+    return vec
 
 
 def _time_grid(grid) -> np.ndarray:

@@ -53,13 +53,10 @@ class ScenarioError(ValueError):
     """A scenario file is malformed or references unknown entities."""
 
 
-_COMPLEX = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"},
-         "minItems": 2, "maxItems": 2},
-    ]
-}
+# a number, or an [re, im] pair: the array keywords ignore numbers, and a
+# type union, unlike "oneOf", builds no error for the branch that fails
+_COMPLEX = {"type": ["number", "array"], "items": {"type": "number"},
+            "minItems": 2, "maxItems": 2}
 _COMPLEX_VECTOR = {"type": "array", "items": _COMPLEX, "minItems": 1}
 _COMPLEX_MATRIX = {"type": "array", "items": _COMPLEX_VECTOR, "minItems": 1}
 

@@ -215,6 +215,28 @@ class TestVerifyAndDesign:
         assert result.exit_code == 3
         assert '"feasible": false' in result.output
 
+    def test_design_report_shows_requested_eta(self, runner, tmp_path):
+        raw = mini_dict()
+        del raw["fields"]
+        raw["design"] = {"stokes_amplitudes": [120.0], "eta": [2.0, 1.0]}
+        result = runner.invoke(main, ["design", write_scenario(tmp_path, raw)])
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.stdout)
+        assert report["eta"] == report["fitted_eta"] == [2.0, 1.0]
+
+    def test_design_zero_eta_reports_infeasible(self, runner, tmp_path):
+        raw = mini_dict()
+        del raw["fields"]
+        raw["design"] = {"stokes_amplitudes": [120.0], "eta": 0}
+        result = runner.invoke(main, ["design", write_scenario(tmp_path, raw)])
+        assert result.exit_code == 3
+        report = json.loads(result.stdout)
+        assert report["feasible"] is False
+        assert report["eta"] == [0.0, 0.0]
+        assert report["notes"] == ["eta must be nonzero"]
+        assert "verified" not in report
+        assert "infeasible design:" not in result.output
+
 
 class TestSweep:
     def test_sweep_table_and_csv(self, runner, tmp_path):

@@ -1,14 +1,15 @@
 """Dark-state structure: Stokes block, cofactors, null spaces, tracking."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from stirapkit import (DesignError, FieldSet, NullVectorLabel, StateVector,
-                       SystemSpec, TargetSpec, TrackingLost, analytic_lambda1,
-                       analytic_pair_tracks, builtin_scenario,
-                       check_feasibility, cofactor_matrix,
+from stirapkit import (DesignError, FieldSet, NullVector, NullVectorLabel,
+                       StateVector, SystemSpec, TargetSpec, TrackingLost,
+                       analytic_lambda1, analytic_pair_tracks,
+                       builtin_scenario, check_feasibility, cofactor_matrix,
                        converged_max_coupling, hamiltonian, make_null_vector,
                        matched_pump_rabi, numeric_null_space,
                        phase_aligned_distance, track_null_frame)
@@ -150,6 +151,18 @@ class TestNumericNullSpace:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             numeric_null_space(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("skew,hermitian", [
+        (1e-3, False), (1e-5, False), (1e-11, False), (1e-13, True)])
+    def test_hermitian_bound_is_absolute(self, skew, hermitian):
+        # the stated bound is 1e-12 times the largest entry, here 1; no
+        # relative tolerance may be added on top of it
+        h = np.array([[0, 1, 0], [1 + skew, 0, 0], [0, 0, 0]], dtype=complex)
+        if hermitian:
+            assert len(numeric_null_space(h)) == 1
+        else:
+            with pytest.raises(ValueError, match="Hermitian"):
+                numeric_null_space(h)
 
 
 class TestAnalyticLambda1:
@@ -776,3 +789,55 @@ class TestPackaging:
                                   np.abs(vec.components) < NODE_TOL)
         assert lam1.node_profile.sum() == (
             system.n_intermediate + system.n_degenerate - 1)
+
+
+def track_counting_post_init():
+    """Track a seeded 5/2 frame across a block boundary.
+
+    Returns the frames and how often ``StateVector.__post_init__`` ran during
+    tracking alone (the seeds are built before counting starts).
+    """
+    rng = np.random.default_rng(52)
+    system = random_feasible_system(rng, 5, 2)
+    fields, target, _ = random_designed_fields(rng, system)
+    grid = np.linspace(-4.0, 5.0, TRACK_BLOCK + 9)
+    seeds = [analytic_lambda1(system, fields, grid[0], target)]
+    seeds += [make_null_vector(v, grid[0], system)
+              for v in intermediate_null_seeds(fields)]
+    calls = []
+    post_init = StateVector.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        post_init(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StateVector, "__post_init__", counting)
+        frames = track_null_frame(lambda t: hamiltonian(system, fields, t),
+                                  seeds, grid, system=system)
+    return grid, frames, len(calls)
+
+
+class TestTrackedVectorConstruction:
+    def test_no_post_init_while_tracking(self):
+        grid, frames, calls = track_counting_post_init()
+        assert len(frames) == grid.size > TRACK_BLOCK
+        assert len(frames[0]) == 4  # the carrier and three partners
+        assert calls == 0
+
+    def test_equal_to_public_constructor(self):
+        grid, frames, _ = track_counting_post_init()
+        stack = frames[0][0].components.base
+        for g, frame in enumerate(frames):
+            for k, vec in enumerate(frame):
+                rebuilt = NullVector(vec.components, vec.time, label=vec.label)
+                assert type(vec) is NullVector
+                assert type(vec.time) is float and vec.time == grid[g]
+                assert vec.label is rebuilt.label
+                # the public constructor keeps a frozen row as it is
+                assert rebuilt.components is vec.components
+                # the same attribute storage: no larger per-vector dict
+                assert sys.getsizeof(vars(vec)) == sys.getsizeof(vars(rebuilt))
+                assert rebuilt.time == vec.time
+                assert vec.components.base is stack
+                assert np.shares_memory(vec.components, stack[g, k])

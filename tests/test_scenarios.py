@@ -33,6 +33,24 @@ FIG3_EDITS = [(1, 4, 39), (2, 5, 39), (2, 6, 48), (3, 2, 45), (4, 3, 81),
               (5, 2, 57), (5, 6, 48), (6, 2, 39), (7, 2, 24)]
 
 
+# The complex-number schema as a "oneOf" of its two forms: the reference the
+# type-union form in SCENARIO_SCHEMA must agree with.
+ONE_OF_COMPLEX = {
+    "oneOf": [
+        {"type": "number"},
+        {"type": "array", "items": {"type": "number"},
+         "minItems": 2, "maxItems": 2},
+    ]
+}
+
+COMPLEX_CANDIDATES = [
+    0, 3, -2, 10**30, 0.0, 1.5, -2.5e-300, 1e300,
+    [], [1], [1.5], [1, 2], [1.0, -2.5], [0, 0.0], [1, 2, 3], [[1, 2]],
+    [1, [2]], [1, "a"], ["a", "b"], [True, 1], [1, None], "x", "", "1",
+    True, False, None, {}, {"re": 1, "im": 2},
+]
+
+
 def small_scenario_dict(**kwargs):
     base = {
         "label": "mini",
@@ -164,6 +182,33 @@ class TestLoadScenario:
         path.write_text(json.dumps(raw))  # writes NaN / Infinity literals
         with pytest.raises(ScenarioError):
             load_scenario(path)
+
+    @pytest.mark.parametrize("place", [
+        lambda raw, value: raw["system"].update(mu_pump=[value]),
+        lambda raw, value: raw["system"].update(mu_stokes=[[value]]),
+        lambda raw, value: raw.update(target=[value]),
+        lambda raw, value: raw["fields"].update(peak_rabi_stokes=[[value]]),
+        lambda raw, value: raw.update(overrides=[
+            {"pulse": "pump", "k": 1, "value": value}]),
+        lambda raw, value: raw.update(design={"stokes_amplitudes": [1.0],
+                                              "eta": value}),
+    ], ids=["mu_pump", "mu_stokes", "target", "stokes", "override", "eta"])
+    def test_complex_schema_matches_one_of(self, place):
+        reference = jsonschema.Draft202012Validator(ONE_OF_COMPLEX)
+        schema = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+        for value in COMPLEX_CANDIDATES:
+            raw = small_scenario_dict()
+            place(raw, value)
+            assert schema.is_valid(raw) == reference.is_valid(value), value
+
+    def test_malformed_complex_message(self):
+        raw = small_scenario_dict()
+        raw["system"]["mu_pump"] = ["x"]
+        with pytest.raises(ScenarioError) as got:
+            load_scenario_from(raw)
+        assert str(got.value) == (
+            "scenario field system/mu_pump/0: "
+            "'x' is not of type 'number', 'array'")
 
     def test_complex_entries(self, tmp_path):
         raw = small_scenario_dict()
