@@ -140,41 +140,26 @@ class FieldSet:
         return FieldSet(self.peak_rabi_pump, self.peak_rabi_stokes, width)
 
 
-def _frozen(arr) -> bool:
-    """Whether ``arr`` may be kept without a copy.
-
-    True for a read-only complex ndarray whose memory owner (itself or its
-    ``base``) is a read-only ndarray.  A read-only view of a writeable array
-    is not: writes to its owner would show through it.
-    """
-    if (type(arr) is not np.ndarray or arr.dtype != complex
-            or arr.flags.writeable):
-        return False
-    owner = arr if arr.base is None else arr.base
-    return (type(owner) is np.ndarray and owner.flags.owndata
-            and not owner.flags.writeable)
-
-
 @dataclass(frozen=True)
 class StateVector:
     """State of the full system: complex amplitudes ordered (z0; x_1..x_N; y_1..y_M).
 
-    ``components`` is always read-only.  Input that is already frozen (see
-    :func:`_frozen`), such as a row of a read-only frame stack, is kept as it
-    is; any other input is copied, so later writes to it never reach the
-    state.
+    ``components`` is always a fresh, finite, read-only complex copy of the
+    input, so later writes to the input never reach the state.  Only
+    :func:`~stirapkit.nullspace.track_null_frame` hands out vectors whose
+    components are views, of its own read-only frame stack.
     """
 
     components: np.ndarray
     time: float = 0.0
 
     def __post_init__(self):
-        arr = self.components
-        if not _frozen(arr):
-            arr = np.array(arr, dtype=complex)
-            arr.setflags(write=False)
+        arr = np.array(self.components, dtype=complex)
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("state vector must be a nonempty 1-d array")
+        if not np.isfinite(arr).all():
+            raise ValueError("state vector must be finite")
+        arr.setflags(write=False)
         object.__setattr__(self, "components", arr)
 
     @property

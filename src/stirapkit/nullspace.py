@@ -406,7 +406,8 @@ def track_null_frame(h_sampler, seeds, grid,
             g += kept
         idx += times.size
 
-    # read-only, so each vector keeps a view of its row, not a copy
+    # the returned vectors are views of its rows, and this flag is what
+    # keeps a write through one of them from changing the stack
     frames.setflags(write=False)
     members = frames.shape[1]
     vectors = list(map(_frame_vector, frames.reshape(-1, frames.shape[2]),
@@ -420,10 +421,11 @@ def _frame_vector(components: np.ndarray, time: float,
     """``NullVector(components, time, label=label)`` for a frame-stack row.
 
     Sets the three fields as the dataclass ``__init__`` does, without running
-    ``StateVector.__post_init__``.  That is safe here because each row is a
-    1-d, non-empty, read-only complex view whose owner is read-only and owns
-    its data, so ``model._frozen`` would keep it as it is and the check could
-    only pass.
+    ``StateVector.__post_init__`` and so without its copy: the one place a
+    vector's components are a view.  It is called only on rows of the
+    tracker's own frame stack.  Each row is 1-d, non-empty, complex and
+    finite (a non-finite Hamiltonian stops tracking), and the stack is
+    read-only and never written again.
     """
     vec = object.__new__(NullVector)
     object.__setattr__(vec, "components", components)

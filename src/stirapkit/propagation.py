@@ -111,10 +111,6 @@ class Trajectory:
         return self.times / self.width
 
     @property
-    def final_state(self) -> StateVector:
-        return StateVector(self.states[-1], float(self.times[-1]))
-
-    @property
     def final_p_f(self) -> float:
         return float(self.p_f[-1])
 

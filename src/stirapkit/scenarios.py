@@ -180,6 +180,13 @@ class DesignRequest:
     eta: complex = 1.0 + 0.0j
     width: float = 1.0
 
+    def __post_init__(self):
+        # the schema's limits let NaN and Infinity through, as for Bounds
+        for name in ("stokes_amplitudes", "stokes_phases", "eta", "width"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value).all():
+                raise ScenarioError(f"design {name} must be finite, got {value}")
+
 
 @dataclass(frozen=True)
 class Bounds:
@@ -227,10 +234,18 @@ class Scenario:
         if self.fields is not None:
             return self.fields
         req = self.design
-        return design_fields(self.system, self.target, req.eta, req.width,
-                             np.array(req.stokes_amplitudes),
-                             None if req.stokes_phases is None
-                             else np.array(req.stokes_phases))
+        # finite inputs can still overflow the designed amplitudes: bad
+        # input, as in a sweep, while an infeasible design stays a DesignError
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                return design_fields(self.system, self.target, req.eta,
+                                     req.width, np.array(req.stokes_amplitudes),
+                                     None if req.stokes_phases is None
+                                     else np.array(req.stokes_phases))
+            except DesignError:
+                raise
+            except ValueError as exc:
+                raise ScenarioError(f"design: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -665,31 +680,33 @@ def _sweep_label(scenario: Scenario, axis: str, value: float,
 def _derive_scenario(scenario: Scenario, axis: str, value: float,
                      pump_index: int) -> Scenario:
     fields = scenario.resolve_fields()
-    pump, stokes, width = (fields.peak_rabi_pump, fields.peak_rabi_stokes,
-                           fields.width)
-    # a value that overflows an amplitude or the width is bad input; the
-    # FieldSet below rejects the non-finite result, so numpy need not warn
+    if axis == "width" and value <= 0:
+        raise ScenarioError("width factors must be positive")
+    if (axis == "phase-perturbation"
+            and not 1 <= pump_index <= fields.n_intermediate):
+        raise ScenarioError(f"unknown pump index {pump_index}")
+    # a value that overflows an amplitude or the width is bad input; FieldSet
+    # rejects the non-finite result, so numpy need not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        if axis == "width":
-            if value <= 0:
-                raise ScenarioError("width factors must be positive")
-            width = width * value
-        elif axis == "amplitude-scale":
-            pump, stokes = pump * value, stokes * value
-        elif axis == "phase-perturbation":
-            if not 1 <= pump_index <= fields.n_intermediate:
-                raise ScenarioError(f"unknown pump index {pump_index}")
-            pump = pump.copy()
+        if axis == "phase-perturbation":
+            pump = fields.peak_rabi_pump.copy()
             pump[pump_index - 1] *= np.exp(1j * value)
         elif axis == "eta":
-            pump = matched_pump_rabi(stokes, scenario.target, complex(value))
-    try:
-        new_fields = FieldSet(pump, stokes, width)
-    except ValueError as exc:
-        raise ScenarioError(f"{axis} {value:g}: {exc}") from exc
+            # outside the try below: an infeasible ratio stays a DesignError
+            pump = matched_pump_rabi(fields.peak_rabi_stokes, scenario.target,
+                                     complex(value))
+        try:
+            if axis == "width":
+                fields = fields.with_width(fields.width * value)
+            elif axis == "amplitude-scale":
+                fields = fields.scaled(value)
+            else:
+                fields = FieldSet(pump, fields.peak_rabi_stokes, fields.width)
+        except ValueError as exc:
+            raise ScenarioError(f"{axis} {value:g}: {exc}") from exc
     return dataclasses.replace(
         scenario, label=_sweep_label(scenario, axis, value, pump_index),
-        fields=new_fields, design=None)
+        fields=fields, design=None)
 
 
 def _sweep_worker(args) -> SweepEntry:

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, flags, exit codes, output files."""
 
 import json
+import math
+import warnings
 
 import pytest
 from click.testing import CliRunner
@@ -45,6 +47,62 @@ def infeasible_design_dict():
         "target": [0.0, 0.0, 1.0],
         "design": {"stokes_amplitudes": [2.0, 2.0]},
     }
+
+
+def bad_design_dict(**design):
+    """A feasible two-channel design request with some entries replaced."""
+    return {
+        "label": "designed",
+        "system": {"n_intermediate": 2, "n_degenerate": 2,
+                   "mu_pump": [1.0, 1.0],
+                   "mu_stokes": [[1.0, 0.3], [0.4, 1.0]]},
+        "target": [0.0, 1.0],
+        "design": {"stokes_amplitudes": [120.0, 120.0], **design},
+        "propagation": {"stride": 0.05},
+    }
+
+
+# Design requests that each used to end every command in a ValueError
+# traceback: non-finite values load, and an eta of 1e308 overflows the pumps.
+BAD_DESIGNS = {
+    "amplitude-nan": {"stokes_amplitudes": [math.nan, 120.0]},
+    "phase-nan": {"stokes_phases": [math.nan, 0.0]},
+    "eta-nan": {"eta": math.nan},
+    "eta-inf": {"eta": math.inf},
+    "eta-overflow": {"eta": 1e308},
+    "width-nan": {"width": math.nan},
+    "width-inf": {"width": math.inf},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DESIGNS))
+class TestBadDesignRequest:
+    @pytest.mark.parametrize("command", ["design", "verify", "run"])
+    def test_one_error_line(self, runner, tmp_path, monkeypatch, case,
+                            command):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp", None)
+        ref = write_scenario(tmp_path, bad_design_dict(**BAD_DESIGNS[case]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [command, ref])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert "must be finite" in result.output
+        assert len(result.output.splitlines()) == 1
+
+    def test_sweep_exits_1(self, runner, tmp_path, monkeypatch, case):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp", None)
+        ref = write_scenario(tmp_path, bad_design_dict(**BAD_DESIGNS[case]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["sweep", ref, "--axis",
+                                          "amplitude-scale", "--values", "1",
+                                          "--jobs", "1"])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert "must be finite" in result.output
+        assert "Warning" not in result.output
 
 
 class TestRun:
@@ -170,6 +228,11 @@ class TestReproduce:
         assert record["summary"]["final_p_f"] >= 0.99
         assert record["design"]["verified"] is True
 
+    def test_fig4_names_pruned_pumps(self, runner):
+        result = runner.invoke(main, ["reproduce", "fig4"])
+        assert result.exit_code == 0, result.output
+        assert "pruned pumps: [1, 2]" in result.output.splitlines()
+
     def test_rejects_unknown_name(self, runner):
         result = runner.invoke(main, ["reproduce", "fig7"])
         assert result.exit_code != 0
@@ -181,6 +244,11 @@ class TestVerifyAndDesign:
         result = runner.invoke(main, ["verify", ref])
         assert result.exit_code == 0
         assert "verified: True" in result.output
+
+    def test_verify_names_pruned_pumps(self, runner):
+        result = runner.invoke(main, ["verify", "fig4"])
+        assert result.exit_code == 0, result.output
+        assert "pruned:   [1, 2]" in result.output.splitlines()
 
     def test_verify_detects_breakage(self, runner, tmp_path):
         raw = mini_dict()

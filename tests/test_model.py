@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from stirapkit import (FieldSet, StateVector, SystemSpec, TargetSpec,
-                       coupling_blocks, design_fields, ground_state,
-                       hamiltonian, matched_pump_rabi, pump_envelope,
-                       stokes_envelope)
+from stirapkit import (FieldSet, NullVector, NullVectorLabel, StateVector,
+                       SystemSpec, TargetSpec, coupling_blocks, design_fields,
+                       ground_state, hamiltonian, matched_pump_rabi,
+                       pump_envelope, stokes_envelope)
 
 from helpers import crandn, random_feasible_system
 
@@ -201,7 +201,7 @@ class TestTypes:
 
 
 class TestStateVectorCopies:
-    """A state copies its input unless no one can write to that memory."""
+    """A state always stores its own read-only copy of its input."""
 
     def test_writeable_array_is_copied(self):
         values = np.array([1.0, 2.0j, 0.5])
@@ -225,7 +225,10 @@ class TestStateVectorCopies:
         stack.setflags(write=False)
         row = stack[1][0]
         state = StateVector(row)
-        assert state.components is row
+        assert np.array_equal(state.components, [6, 7, 8])
+        assert not np.shares_memory(state.components, stack)
+        stack.setflags(write=True)
+        stack[1, 0, 0] = 99
         assert np.array_equal(state.components, [6, 7, 8])
 
     def test_read_only_real_array_is_copied_as_complex(self):
@@ -242,6 +245,28 @@ class TestStateVectorCopies:
             StateVector(stack)
         with pytest.raises(ValueError, match="1-d"):
             StateVector(stack[0, :0])
+
+    def test_owner_made_writeable_again_does_not_reach_state(self):
+        # the read-only flag of an array that owns its memory can be undone
+        stack = np.zeros((2, 3), dtype=complex)
+        stack[0, 0] = 1.0
+        stack.setflags(write=False)
+        state = StateVector(stack[0])
+        null = NullVector(stack[0], 0.0, label=NullVectorLabel.GENERIC)
+        stack.setflags(write=True)
+        stack[0, 0] = 99
+        for vec in (state, null):
+            assert np.array_equal(vec.components, [1, 0, 0])
+            assert not vec.components.flags.writeable
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     complex(0.0, math.nan)])
+    def test_non_finite_rejected(self, bad):
+        for values in (np.array([1.0, bad, 0.0]), [bad]):
+            with pytest.raises(ValueError, match="state vector must be finite"):
+                StateVector(values)
+        with pytest.raises(ValueError, match="finite"):
+            NullVector([0.0, bad], 0.0, label=NullVectorLabel.GENERIC)
 
 
 class TestCouplingBlockCache:

@@ -118,6 +118,12 @@ class TestCofactorMatrix:
         cof = cofactor_matrix(s)
         assert np.allclose(cof, [[4.0, -2.0], [-2.0, 1.0]])
 
+    def test_one_by_one(self):
+        s = np.array([[2.5 - 1j]])
+        cof = cofactor_matrix(s)
+        assert np.array_equal(cof, [[1.0]])
+        assert np.allclose(cof.T @ s, np.linalg.det(s) * np.eye(1))
+
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             cofactor_matrix(np.ones((2, 3)))
@@ -147,6 +153,10 @@ class TestNumericNullSpace:
         h = hamiltonian(system, fields, 0.6)
         vectors = numeric_null_space(h, tol=1e-9 * fields.max_rabi)
         assert len(vectors) == 2  # one transfer carrier plus one partner
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            numeric_null_space(np.zeros((2, 3), complex))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -209,6 +219,12 @@ class TestAnalyticLambda1:
         with pytest.raises(DesignError, match="rank"):
             analytic_lambda1(scenario.system, scenario.fields, 0.0)
 
+    def test_nan_time_rejected(self, fig2):
+        # the closed form at t = nan is a NaN vector, which no state may hold
+        system, fields = fig2
+        with pytest.raises(ValueError, match="state vector must be finite"):
+            analytic_lambda1(system, fields, math.nan)
+
     def test_superposition_target(self, fig2):
         system, fields = fig2
         rng = np.random.default_rng(9)
@@ -264,6 +280,15 @@ class TestTracking:
                 assert abs(partner.components[0]) < 1e-12
                 assert np.all(np.abs(partner.components[1 + n:]) < 1e-12)
                 assert partner.label is NullVectorLabel.LAMBDA3
+
+    def test_empty_grid_rejected(self):
+        seed = make_null_vector(np.array([1.0, 0.0]), 0.0)
+        with pytest.raises(ValueError, match="empty time grid"):
+            track_null_frame(lambda t: np.zeros((2, 2)), [seed], [])
+
+    def test_no_seeds_rejected(self):
+        with pytest.raises(ValueError, match="at least one seed"):
+            track_null_frame(lambda t: np.zeros((2, 2)), [], [0.0, 1.0])
 
     def test_seed_must_be_eigenvector(self):
         h = np.diag([1.0, 2.0, 3.0]).astype(complex)
@@ -552,12 +577,27 @@ class TestNonadiabaticCoupling:
         assert converged
         assert chi_max > 0.01 / fields.width
 
+    def test_pair_tracks_need_stokes_null_direction(self, fig2):
+        # fig2's 7 x 7 Stokes block has full column rank
+        system, fields = fig2
+        with pytest.raises(ValueError, match="no right null direction"):
+            analytic_pair_tracks(system, fields, [0.0, 1.0])
+
     def test_grid_too_short(self):
         h = np.diag([1.0, -1.0]).astype(complex)
         _, vecs = np.linalg.eigh(h)
         with pytest.raises(ValueError, match="grid"):
             converged_max_coupling(one_seed_tracks(h, vecs[:, 0], vecs[:, 1]),
                                    0.0, 1.0, n_points=2)
+
+    def test_tracks_must_match_grid(self):
+        def tracks_for(grid):
+            track_a, track_b = constant_tracks(grid)
+            return track_a[:-1], track_b[:-1]
+
+        with pytest.raises(ValueError, match="tracks and grid must have "
+                                             "equal length"):
+            converged_max_coupling(tracks_for, 0.0, 1.0, n_points=5)
 
     def test_rejects_non_orthonormal_pair(self):
         v = np.array([1.0, 0.0], dtype=complex)
@@ -834,8 +874,8 @@ class TestTrackedVectorConstruction:
                 assert type(vec) is NullVector
                 assert type(vec.time) is float and vec.time == grid[g]
                 assert vec.label is rebuilt.label
-                # the public constructor keeps a frozen row as it is
-                assert rebuilt.components is vec.components
+                assert np.array_equal(rebuilt.components, vec.components)
+                assert not np.shares_memory(rebuilt.components, vec.components)
                 # the same attribute storage: no larger per-vector dict
                 assert sys.getsizeof(vars(vec)) == sys.getsizeof(vars(rebuilt))
                 assert rebuilt.time == vec.time

@@ -1,11 +1,14 @@
 """Schrodinger propagation: accuracy, population bookkeeping, ladders."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import stirapkit.propagation
 from stirapkit import (FieldSet, PropagationConfig, PropagationError,
-                       StateVector, SystemSpec, TargetSpec, analytic_lambda1,
+                       StateVector, SystemSpec, TargetSpec, Trajectory,
+                       analytic_lambda1,
                        builtin_scenario, ground_state, hamiltonian,
                        matched_pump_rabi, populations, propagate,
                        verify_design)
@@ -39,6 +42,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="samples"):
             PropagationConfig(t_start=-4.0, t_end=5.0, output_stride=8e-6)
         PropagationConfig(t_start=-4.0, t_end=5.0, output_stride=1e-5)
+
+    def test_max_step_positive(self):
+        with pytest.raises(ValueError, match="max_step must be positive"):
+            PropagationConfig(max_step=0)
 
     def test_rel_tol_floor(self):
         # the integrator's own floor is 100 machine epsilons
@@ -161,6 +168,22 @@ class TestPropagate:
         with pytest.raises(ValueError, match="normalized"):
             propagate(system, fields, bad)
 
+    def test_initial_state_length_checked(self):
+        system, fields = three_level()
+        with pytest.raises(ValueError, match="must have 3 components"):
+            propagate(system, fields, StateVector([1.0, 0.0]))
+
+    def test_integrator_failure_raises(self, monkeypatch):
+        def failing_solve_ivp(fun, t_span, y0, **kwargs):
+            return SimpleNamespace(success=False, message="step size too small")
+
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                            failing_solve_ivp)
+        system, fields = three_level()
+        with pytest.raises(PropagationError,
+                           match="integration failed: step size too small"):
+            propagate(system, fields, ground_state(system))
+
     def test_narrow_window_warns(self):
         system, fields = three_level()
         cfg = PropagationConfig(t_start=-1.0, t_end=2.0)
@@ -202,6 +225,11 @@ class TestPropagate:
         assert traj.times[0] == pytest.approx(-4.0)
         assert traj.times[-1] == pytest.approx(5.0)
         assert np.allclose(np.diff(traj.times), 0.5)
+
+
+def test_trajectory_exposes_states_not_a_final_state():
+    # the last row of ``states`` is the final state; no second accessor
+    assert not hasattr(Trajectory, "final_state")
 
 
 class TestPopulations:

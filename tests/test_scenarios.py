@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import stirapkit.scenarios
-from stirapkit import (ScenarioError, TargetSpec, Trajectory, builtin_names,
-                       builtin_scenario, config_hash, load_scenario, run,
-                       scenario_to_dict, sweep, write_trajectory_csv)
+from stirapkit import (DesignError, ScenarioError, TargetSpec, Trajectory,
+                       builtin_names, builtin_scenario, config_hash,
+                       load_scenario, run, scenario_to_dict, sweep,
+                       write_trajectory_csv)
 from stirapkit.scenarios import SCENARIO_SCHEMA, Bounds, _check_bounds
 
 from helpers import trajectory_csv_oracle
@@ -70,6 +71,18 @@ def small_scenario_dict(**kwargs):
     }
     base.update(kwargs)
     return base
+
+
+def design_scenario_dict(**design):
+    """A two-channel design request; ``design`` entries replace the defaults."""
+    raw = small_scenario_dict()
+    del raw["fields"]
+    raw["system"] = {"n_intermediate": 2, "n_degenerate": 2,
+                     "mu_pump": [1.0, 1.0],
+                     "mu_stokes": [[1.0, 0.3], [0.4, 1.0]]}
+    raw["target"] = [0.0, 1.0]
+    raw["design"] = {"stokes_amplitudes": [120.0, 80.0], **design}
+    return raw
 
 
 class TestBuiltins:
@@ -250,6 +263,104 @@ class TestLoadScenario:
         path = tmp_path / "ov3.json"
         path.write_text(json.dumps(raw))  # writes a NaN literal
         with pytest.raises(ScenarioError):
+            load_scenario(path)
+
+    @pytest.mark.parametrize("override, message", [
+        ({"pulse": "pump", "k": 1, "j": 1, "value": 0},
+         "pump overrides take no 'j' index"),
+        ({"pulse": "pump", "k": 3, "value": 0},
+         "unknown override index: pump k=3"),
+        ({"pulse": "stokes", "k": 1, "value": 0},
+         "stokes overrides need a 'j' index"),
+    ], ids=["pump-with-j", "pump-index", "stokes-without-j"])
+    def test_override_error_text(self, override, message):
+        raw = small_scenario_dict(overrides=[override])
+        raw["system"] = {"n_intermediate": 2, "n_degenerate": 2,
+                         "mu_pump": [1.0, 1.0],
+                         "mu_stokes": [[1.0, 0.0], [0.0, 1.0]]}
+        raw["target"] = [0.0, 1.0]
+        raw["fields"] = {"peak_rabi_pump": [60.0, 30.0],
+                         "peak_rabi_stokes": [[60.0, 0.0], [0.0, 30.0]]}
+        with pytest.raises(ScenarioError) as got:
+            load_scenario_from(raw)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw.update(overrides=[
+            {"pulse": "pump", "k": 1, "value": 0}]),
+         "overrides require direct 'fields'"),
+        (lambda raw: raw["design"].update(stokes_amplitudes=[120.0]),
+         "design needs one Stokes amplitude per channel"),
+        (lambda raw: raw["design"].update(stokes_phases=[0.0]),
+         "design needs one Stokes phase per channel"),
+    ], ids=["overrides", "amplitudes", "phases"])
+    def test_design_request_error_text(self, edit, message):
+        raw = design_scenario_dict()
+        edit(raw)
+        with pytest.raises(ScenarioError) as got:
+            load_scenario_from(raw)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("key, value", [
+        ("stokes_amplitudes", [math.nan, 80.0]),
+        ("stokes_amplitudes", [120.0, math.inf]),
+        ("stokes_phases", [math.nan, 0.0]),
+        ("eta", math.nan), ("eta", math.inf), ("eta", [1.0, -math.inf]),
+        ("width", math.nan), ("width", math.inf),
+    ], ids=["amplitude-nan", "amplitude-inf", "phase-nan", "eta-nan",
+            "eta-inf", "eta-pair-inf", "width-nan", "width-inf"])
+    def test_non_finite_design_rejected(self, tmp_path, key, value):
+        # json writes and reads NaN and Infinity, and the schema lets them in
+        path = tmp_path / "design.json"
+        path.write_text(json.dumps(design_scenario_dict(**{key: value})))
+        with pytest.raises(ScenarioError, match=f"design {key} must be finite"):
+            load_scenario(path)
+
+    def test_design_scenario_with_phases(self):
+        scenario = load_scenario_from(design_scenario_dict(
+            stokes_phases=[0.5, -1.0], eta=[2.0, 1.0], width=1.5))
+        assert scenario.design.stokes_phases == (0.5, -1.0)
+        fields = scenario.resolve_fields()
+        per_pulse = 0.5 * np.array([120.0, 80.0]) * np.exp(1j * np.array(
+            [0.5, -1.0]))
+        assert np.allclose(fields.peak_rabi_stokes,
+                           per_pulse[:, None] * scenario.system.mu_stokes)
+        assert np.allclose(fields.peak_rabi_pump, np.conj(
+            (2 + 1j) * fields.peak_rabi_stokes[:, 1]))
+        assert fields.width == 1.5
+
+    def test_design_config_hash_pinned(self):
+        scenario = load_scenario_from(design_scenario_dict(
+            stokes_phases=[0.5, -1.0], eta=[2.0, 1.0], width=1.5))
+        assert scenario_to_dict(scenario)["design"] == {
+            "eta": [2.0, 1.0], "width": 1.5,
+            "stokes_amplitudes": [120.0, 80.0], "stokes_phases": [0.5, -1.0]}
+        assert config_hash(scenario) == (
+            "b455584b7b13c7bb9ffbe0540177b28cb45f49b0ab9129ab625eb67df64f9d43")
+
+    def test_overflowing_design_is_bad_input(self):
+        # finite at load, but the designed pump amplitudes overflow
+        scenario = load_scenario_from(design_scenario_dict(eta=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ScenarioError) as got:
+                scenario.resolve_fields()
+        assert str(got.value) == "design: peak_rabi_pump must be finite"
+
+    def test_infeasible_design_stays_design_error(self):
+        raw = design_scenario_dict()
+        raw["system"]["n_degenerate"] = 3
+        raw["system"]["mu_stokes"] = [[1.0, 0.3, 0.2], [0.4, 1.0, 0.5]]
+        raw["target"] = [0.0, 0.0, 1.0]
+        scenario = load_scenario_from(raw)
+        with pytest.raises(DesignError) as got:
+            scenario.resolve_fields()
+        assert not isinstance(got.value, ScenarioError)
+
+    def test_not_valid_json(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"label": ')
+        with pytest.raises(ScenarioError, match=f"{path}: not valid JSON: "):
             load_scenario(path)
 
     def test_fields_and_design_exclusive(self, tmp_path):
@@ -497,6 +608,15 @@ class TestSweep:
             entries = sweep(scenario, axis, [1e307], jobs=1)
         assert entries[0].record is None
         assert entries[0].status == (f"ScenarioError: {axis} 1e+307: "
+                                     "peak_rabi_pump must be finite")
+
+    def test_overflowing_design_entry_is_bad_input(self):
+        scenario = load_scenario_from(design_scenario_dict(eta=1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            entries = sweep(scenario, "amplitude-scale", [1.0], jobs=1)
+        assert entries[0].record is None
+        assert entries[0].status == ("ScenarioError: design: "
                                      "peak_rabi_pump must be finite")
 
     @pytest.mark.parametrize("axis, values", [
