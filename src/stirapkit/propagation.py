@@ -140,9 +140,20 @@ def _split_populations(states: np.ndarray, n: int, m: int,
 
 
 def _sample_times(config: PropagationConfig, width: float) -> np.ndarray:
+    """The output grid in time units; raises unless every sample is finite.
+
+    A finite window times a huge finite width can overflow; the integrator
+    would then step on NaN times without end.
+    """
     span = config.t_end - config.t_start
     n_steps = max(1, int(np.ceil(span / config.output_stride - 1e-9)))
-    return width * np.linspace(config.t_start, config.t_end, n_steps + 1)
+    with np.errstate(over="ignore"):
+        times = width * np.linspace(config.t_start, config.t_end, n_steps + 1)
+    if not np.isfinite(times).all():
+        raise ValueError(f"sample times overflow: the window [{config.t_start:g}, "
+                         f"{config.t_end:g}] times the pulse width {width:g} "
+                         "is not finite")
+    return times
 
 
 def _make_rhs(fields: FieldSet):
@@ -191,7 +202,9 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
 
     Returns a :class:`Trajectory` sampled on an even grid no coarser than
     ``config.output_stride``.  Raises :class:`PropagationError` when the
-    integrator fails or norm conservation degrades beyond tolerance.
+    integrator fails or norm conservation degrades beyond tolerance, and
+    ValueError for bad input, such as a window whose sample times overflow
+    at this width.
     """
     if config is None:
         config = PropagationConfig()
@@ -204,6 +217,7 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
         raise ValueError("initial state must be normalized")
 
     width = fields.width
+    times = _sample_times(config, width)
     edge = max(pump_envelope(config.t_start * width, width),
                stokes_envelope(config.t_start * width, width),
                pump_envelope(config.t_end * width, width),
@@ -214,7 +228,6 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
             "widen the window for a clean adiabatic start",
             stacklevel=2)
 
-    times = _sample_times(config, width)
     max_step = (config.max_step if config.max_step is not None
                 else DEFAULT_MAX_STEP) * width
     sol = solve_ivp(_make_rhs(fields), (times[0], times[-1]), psi0,

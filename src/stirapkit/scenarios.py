@@ -638,8 +638,13 @@ def run(scenario: Scenario, out_dir=None) -> tuple[RunRecord, Trajectory]:
 
     initial = ground_state(scenario.system,
                            scenario.propagation.t_start * fields.width)
-    traj = propagate(scenario.system, fields, initial, scenario.propagation,
-                     scenario.target)
+    try:
+        traj = propagate(scenario.system, fields, initial,
+                         scenario.propagation, scenario.target)
+    except ValueError as exc:
+        # a loaded scenario is self-consistent, so what propagate rejects is
+        # its window and width together (sample times that overflow)
+        raise ScenarioError(f"propagation: {exc}") from exc
     violations = _check_bounds(scenario.bounds, traj)
     record = RunRecord(
         label=scenario.label,

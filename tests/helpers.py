@@ -247,3 +247,11 @@ def nan_solve_ivp(fun, t_span, y0, t_eval=None, **kwargs):
     points = 1 if t_eval is None else len(t_eval)
     return SimpleNamespace(success=True, message="",
                            y=np.full((len(y0), points), np.nan, dtype=complex))
+
+
+def unreachable_solve_ivp(*args, **kwargs):
+    """Stand-in for ``solve_ivp`` in runs that must fail before integrating.
+
+    A run that reaches it fails at once instead of possibly never ending.
+    """
+    raise AssertionError("the integrator was called")

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 import stirapkit.propagation
 from stirapkit.cli import main
 
-from helpers import nan_solve_ivp
+from helpers import nan_solve_ivp, unreachable_solve_ivp
 
 
 @pytest.fixture
@@ -102,6 +102,42 @@ class TestBadDesignRequest:
         assert isinstance(result.exception, SystemExit), result.exception
         assert result.exit_code == 1, result.output
         assert "must be finite" in result.output
+        assert "Warning" not in result.output
+
+
+class TestOverflowingWidth:
+    """A finite width whose window overflows fails before the integrator."""
+
+    @pytest.mark.parametrize("raw", [
+        bad_design_dict(width=1e308),
+        mini_dict(fields={"peak_rabi_pump": [60.0],
+                          "peak_rabi_stokes": [[60.0]], "width": 1e308})],
+        ids=["design", "fields"])
+    def test_run_one_error_line(self, runner, tmp_path, monkeypatch, raw):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                            unreachable_solve_ivp)
+        ref = write_scenario(tmp_path, raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["run", ref])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert "sample times overflow" in result.output
+        assert len(result.output.splitlines()) == 1
+
+    def test_sweep_entry_exits_1(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                            unreachable_solve_ivp)
+        ref = write_scenario(tmp_path, mini_dict())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["sweep", ref, "--axis", "width",
+                                          "--values", "1e308", "--jobs", "1"])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1, result.output
+        assert "ScenarioError" in result.output
+        assert "sample times overflow" in result.output
         assert "Warning" not in result.output
 
 

@@ -392,6 +392,102 @@ class TestTracking:
         assert calls == grid.tolist()
 
 
+def bipartite_stack(rng, n, m, rank, points=5):
+    """Hamiltonians of an (n, m) system coupling A to X alone, K of given rank.
+
+    A is the initial state and the m degenerate states, X the n
+    intermediates; returns the stack and the A mask.
+    """
+    on_a = np.ones(1 + n + m, dtype=bool)
+    on_a[1:1 + n] = False
+    a, x = np.flatnonzero(on_a), np.flatnonzero(~on_a)
+    k = crandn(rng, points, a.size, rank) @ crandn(rng, points, rank, x.size)
+    h = np.zeros((points, 1 + n + m, 1 + n + m), dtype=complex)
+    h[:, a[:, None], x] = k
+    h[:, x[:, None], a] = k.conj().swapaxes(1, 2)
+    return h, on_a
+
+
+class TestMorrisShoreBlocks:
+    """Tracking blocks diagonalised through the SVD of the A-X coupling block."""
+
+    @pytest.mark.parametrize("n, m, rank", [
+        (4, 2, 3), (5, 5, 5), (2, 4, 2), (3, 2, 3),
+        (4, 2, 2), (2, 4, 1), (5, 5, 3)],
+        ids=["full-1+M<N", "full-1+M>N", "full-1+M>N-wide", "full-1+M=N",
+             "deficient-1+M<N", "deficient-1+M>N", "deficient-1+M>N-square"])
+    def test_bipartite_eigh_is_an_eigensystem(self, n, m, rank):
+        rng = np.random.default_rng(40 + 7 * n + m + rank)
+        h, on_a = bipartite_stack(rng, n, m, rank)
+        vals, vecs = nullspace._bipartite_eigh(h, on_a)
+        scale = np.linalg.norm(h, 2, axis=(1, 2))
+        residual = np.linalg.norm(h @ vecs - vecs * vals[:, None, :], axis=1)
+        assert np.all(residual <= 1e-12 * scale[:, None])
+        gram = vecs.conj().swapaxes(1, 2) @ vecs
+        assert np.abs(gram - np.eye(1 + n + m)).max() <= 1e-12
+        assert np.all(np.abs(np.sort(vals, axis=1) - np.linalg.eigvalsh(h))
+                      <= 1e-12 * scale[:, None])
+
+    @pytest.mark.parametrize("case", ["fig2", "partners"])
+    def test_track_null_frame_same_with_and_without_system(self, fig2, case):
+        if case == "fig2":
+            system, fields = fig2
+            target = TargetSpec.basis(system.n_degenerate)
+        else:
+            rng = np.random.default_rng(41)
+            system = random_feasible_system(rng, 6, 3)
+            fields, target, _ = random_designed_fields(rng, system)
+        grid = np.linspace(-4.0, 5.0, 301)
+        seeds = [analytic_lambda1(system, fields, grid[0], target)]
+        seeds += [make_null_vector(v, grid[0], system)
+                  for v in intermediate_null_seeds(fields)]
+
+        def sampler(t):
+            return hamiltonian(system, fields, t)
+
+        with_svd = track_null_frame(sampler, seeds, grid, system=system)
+        with_eigh = track_null_frame(sampler, seeds, grid)
+        got = np.array([[v.components for v in f] for f in with_svd])
+        expected = np.array([[v.components for v in f] for f in with_eigh])
+        assert np.abs(got - expected).max() <= 1e-12
+
+    def test_detuned_sampler_takes_eigh_path(self, fig2, monkeypatch):
+        # a detuning on an intermediate state fills the X-X part but leaves
+        # the carrier, which has nodes there, a null eigenvector
+        def no_svd(*args):
+            raise AssertionError("bipartite path taken")
+
+        monkeypatch.setattr(nullspace, "_bipartite_eigh", no_svd)
+        system, fields = fig2
+        detuning = np.zeros((system.dim, system.dim))
+        detuning[2, 2] = 5.0
+
+        def sampler(t):
+            return hamiltonian(system, fields, t) + detuning
+
+        grid = np.linspace(-4.0, 5.0, 181)
+        seed = analytic_lambda1(system, fields, grid[0])
+        frames = track_null_frame(sampler, [seed], grid, system=system)
+        expected = reference_null_frame(sampler, [seed.components], grid)
+        got = np.array([[v.components for v in f] for f in frames])
+        assert np.abs(got - expected).max() <= 1e-12
+
+    def test_bipartite_tracking_needs_no_eigh(self, fig2, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(nullspace.np.linalg, "eigh", no_eigh)
+        system, fields = fig2
+        grid = np.linspace(-4.0, 5.0, 181)
+        seed = analytic_lambda1(system, fields, grid[0])
+        frames = track_null_frame(
+            lambda t: hamiltonian(system, fields, t), [seed], grid,
+            system=system)
+        final = analytic_lambda1(system, fields, grid[-1])
+        assert phase_aligned_distance(frames[-1][0].components,
+                                      final.components) < 1e-8
+
+
 def rotating_sampler(seed, levels, joined=None):
     """``U(t) diag(levels) U(t)^H`` with ``U(t) = expm(i t A)``, A random Hermitian.
 

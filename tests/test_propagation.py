@@ -1,5 +1,6 @@
 """Schrodinger propagation: accuracy, population bookkeeping, ladders."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +16,7 @@ from stirapkit import (FieldSet, PropagationConfig, PropagationError,
 
 from helpers import (crandn, nan_solve_ivp, random_designed_fields,
                      random_feasible_system, raw_hamiltonian, rk4_evolve,
-                     width_ladder)
+                     unreachable_solve_ivp, width_ladder)
 
 
 def three_level(rabi=60.0):
@@ -225,6 +226,19 @@ class TestPropagate:
         assert traj.times[0] == pytest.approx(-4.0)
         assert traj.times[-1] == pytest.approx(5.0)
         assert np.allclose(np.diff(traj.times), 0.5)
+
+
+def test_overflowing_sample_times_rejected(monkeypatch):
+    # a finite width whose window overflows: rejected before the integrator
+    # and without a numpy overflow warning
+    monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                        unreachable_solve_ivp)
+    system = SystemSpec(1, 1, [1.0], [[1.0]])
+    fields = FieldSet([60.0], [[60.0]], 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sample times overflow"):
+            propagate(system, fields, ground_state(system))
 
 
 def test_trajectory_exposes_states_not_a_final_state():
