@@ -10,8 +10,8 @@ and :mod:`~stirapkit.scenarios` (reproducible runs and parameter sweeps, the
 width ladder among them, also exposed through the ``stirapkit`` command
 line)."""
 
-from .model import (FieldSet, StateVector, SystemSpec, coupling_blocks,
-                    ground_state, hamiltonian, pump_envelope, stokes_envelope)
+from .model import (FieldSet, StateVector, SystemSpec, envelope_pair,
+                    ground_state, hamiltonian, log_envelope_ratio)
 from .design import (DesignError, DesignReport, TargetSpec, VerifyResult,
                      check_feasibility, design_fields, effective_dipoles,
                      matched_pump_rabi, verify_design)
@@ -32,8 +32,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # model
-    "SystemSpec", "FieldSet", "StateVector", "ground_state", "pump_envelope",
-    "stokes_envelope", "coupling_blocks", "hamiltonian",
+    "SystemSpec", "FieldSet", "StateVector", "ground_state", "envelope_pair",
+    "log_envelope_ratio", "hamiltonian",
     # design
     "DesignError", "TargetSpec", "DesignReport", "VerifyResult",
     "effective_dipoles", "check_feasibility", "design_fields",

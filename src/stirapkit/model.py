@@ -27,9 +27,8 @@ __all__ = [
     "FieldSet",
     "StateVector",
     "ground_state",
-    "pump_envelope",
-    "stokes_envelope",
-    "coupling_blocks",
+    "envelope_pair",
+    "log_envelope_ratio",
     "hamiltonian",
 ]
 
@@ -123,12 +122,20 @@ class FieldSet:
                    np.abs(self.peak_rabi_stokes).max(initial=0.0))
 
     @functools.cached_property
-    def _blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        """``coupling_blocks(self)``, read-only, built on first use."""
-        blocks = coupling_blocks(self)
-        for block in blocks:
-            block.setflags(write=False)
-        return blocks
+    def coupling_stack(self) -> np.ndarray:
+        """Read-only (2, d, d) pump and Stokes blocks, built once on first use.
+
+        ``H(t) = f_p * stack[0] + f_s * stack[1]`` with ``(f_p, f_s)`` from
+        :func:`envelope_pair`; both blocks are Hermitian and constant.
+        """
+        n, m = self.n_intermediate, self.n_degenerate
+        stack = np.zeros((2, 1 + n + m, 1 + n + m), dtype=complex)
+        stack[0, 0, 1:1 + n] = self.peak_rabi_pump
+        stack[0, 1:1 + n, 0] = self.peak_rabi_pump.conj()
+        stack[1, 1:1 + n, 1 + n:] = self.peak_rabi_stokes
+        stack[1, 1 + n:, 1:1 + n] = self.peak_rabi_stokes.conj().T
+        stack.setflags(write=False)
+        return stack
 
     def scaled(self, factor: float) -> "FieldSet":
         """All peak amplitudes multiplied by ``factor``; width unchanged."""
@@ -174,45 +181,30 @@ def ground_state(system: SystemSpec, time: float = 0.0) -> StateVector:
     return StateVector(components, time)
 
 
-def pump_envelope(t, width: float):
-    """Gaussian pump envelope, unit peak at t = width."""
-    return np.exp(-((t - width) / width) ** 2)
+def envelope_pair(t, width: float):
+    """Gaussian (pump, Stokes) envelopes, unit peaks at t = width and t = 0.
 
-
-def stokes_envelope(t, width: float):
-    """Gaussian Stokes envelope, unit peak at t = 0."""
-    return np.exp(-(t / width) ** 2)
-
-
-def coupling_blocks(fields: FieldSet) -> tuple[np.ndarray, np.ndarray]:
-    """Constant pump and Stokes coupling matrices.
-
-    The full Hamiltonian factorizes as
-    ``H(t) = pump_envelope(t) * H_pump + stokes_envelope(t) * H_stokes``;
-    both blocks are Hermitian and time independent, which is what the
-    propagator exploits.
+    The trajectory CSV bytes pin this arithmetic: ``np.exp``, not
+    ``math.exp``, and ``** 2`` (libm ``pow`` on a Python float), not a
+    multiply; each pair differs in the last bit on some arguments.
     """
-    n, m = fields.n_intermediate, fields.n_degenerate
-    dim = 1 + n + m
-    h_pump = np.zeros((dim, dim), dtype=complex)
-    h_pump[0, 1:1 + n] = fields.peak_rabi_pump
-    h_pump[1:1 + n, 0] = fields.peak_rabi_pump.conj()
-    h_stokes = np.zeros((dim, dim), dtype=complex)
-    h_stokes[1:1 + n, 1 + n:] = fields.peak_rabi_stokes
-    h_stokes[1 + n:, 1:1 + n] = fields.peak_rabi_stokes.conj().T
-    return h_pump, h_stokes
+    return np.exp(-((t - width) / width) ** 2), np.exp(-(t / width) ** 2)
+
+
+def log_envelope_ratio(t: float, width: float) -> float:
+    """``log(f_p / f_s)`` of :func:`envelope_pair`; finite where both underflow."""
+    return 2.0 * t / width - 1.0
 
 
 def hamiltonian(system: SystemSpec, fields: FieldSet, t: float) -> np.ndarray:
-    """Dressed Hamiltonian at time t (half-Rabi entries, Hermitian).
+    """Dressed Hamiltonian at the scalar time t (half-Rabi entries, Hermitian).
 
     Row/column 0 couples to the intermediates through the pump amplitudes and
     the intermediates couple to the degenerate manifold through the Stokes
     amplitudes; every other entry, including the whole diagonal, is exactly
-    zero (resonant couplings, no intermediate-intermediate coupling).  The
-    two coupling blocks are built once per field set and reused.
+    zero (resonant couplings, no intermediate-intermediate coupling).  It is
+    :attr:`FieldSet.coupling_stack` weighted by :func:`envelope_pair`.
     """
     system.check_fields(fields)
-    h_pump, h_stokes = fields._blocks
-    return (pump_envelope(t, fields.width) * h_pump
-            + stokes_envelope(t, fields.width) * h_stokes)
+    f_p, f_s = envelope_pair(t, fields.width)
+    return f_p * fields.coupling_stack[0] + f_s * fields.coupling_stack[1]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .design import DesignError, TargetSpec, verify_design
-from .model import FieldSet, StateVector, SystemSpec
+from .model import FieldSet, StateVector, SystemSpec, log_envelope_ratio
 
 __all__ = [
     "NODE_TOL",
@@ -209,8 +209,8 @@ def analytic_lambda1(system: SystemSpec, fields: FieldSet, t: float,
 
     Requires fields that satisfy the phase-matching condition (checked here
     through the designer's verifier) and a full-column-rank Stokes block.
-    The vector is ``(z0; 0,...,0; -z0*xi(t)*c)`` with
-    ``xi(t) = eta * exp(2 t/T - 1)`` and ``z0 > 0`` fixed by normalization:
+    The vector is ``(z0; 0,...,0; -z0*xi(t)*c)`` with ``z0 > 0`` fixed by
+    normalization and ``xi = eta * f_p/f_s`` (``model.log_envelope_ratio``):
     it rides from the initial state into the target direction as the pulse
     pair sweeps through, and ``H @ vector`` vanishes identically.
     """
@@ -226,7 +226,7 @@ def analytic_lambda1(system: SystemSpec, fields: FieldSet, t: float,
 
     eta = result.eta
     # log-domain magnitude keeps the construction stable at extreme times
-    u = math.log(abs(eta)) + (2.0 * t / fields.width - 1.0)
+    u = math.log(abs(eta)) + log_envelope_ratio(t, fields.width)
     if u <= 0.0:
         xi_mag = math.exp(u)
         z0 = 1.0 / math.sqrt(1.0 + xi_mag * xi_mag)

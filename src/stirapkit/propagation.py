@@ -3,10 +3,9 @@
 Integrates ``i dpsi/dt = H(t) psi`` (hbar = 1) with an adaptive high-order
 Runge-Kutta method on the complex state.  The right-hand side reuses the
 factorization of the Hamiltonian into two constant Hermitian blocks times
-scalar Gaussian envelopes: both blocks, built once per field set and
-premultiplied by -i, are stacked into one matrix once per run, so each
-evaluation is one matvec with the stack and one two-term contraction with the
-two envelope values.
+scalar Gaussian envelopes: the field set's coupling stack, premultiplied by -i,
+is laid out once per run as one matrix, so each evaluation is one matvec with
+it and one two-term contraction with the two envelope values.
 
 Window, stride and step limits are expressed in units of the pulse width;
 peak Rabi amplitudes keep their own reciprocal-time units, so sweeping the
@@ -20,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import TargetSpec
-from .model import (FieldSet, StateVector, SystemSpec, pump_envelope,
-                    stokes_envelope)
+from .model import FieldSet, StateVector, SystemSpec, envelope_pair
 
 __all__ = [
     "PropagationError",
@@ -157,20 +155,18 @@ def _sample_times(config: PropagationConfig, width: float) -> np.ndarray:
 
 
 def _make_rhs(fields: FieldSet):
-    h_pump, h_stokes = fields._blocks
-    dim = h_pump.shape[0]
-    # the (dim, 2, dim) stack of -1j*H_pump and -1j*H_stokes, viewed as one
+    """``-i H(t) psi``, derived from ``fields.coupling_stack``."""
+    stack = fields.coupling_stack
+    dim = stack.shape[-1]
+    # -1j times the (2, dim, dim) stack as (dim, 2, dim), viewed as one
     # (2*dim, dim) matrix: row pair (2i, 2i+1) holds row i of both blocks
-    blocks = np.stack((-1j * h_pump, -1j * h_stokes), axis=1).reshape(2 * dim, dim)
+    blocks = (-1j * stack).swapaxes(0, 1).reshape(2 * dim, dim)
     # complex, so that the contraction casts nothing
     envelopes = np.zeros(2, dtype=complex)
     width = fields.width
 
     def rhs(t, psi):
-        # numpy's exp, not math.exp: the two differ in the last bit for
-        # about 5% of arguments, and then the trajectory CSV bytes change
-        envelopes[0] = pump_envelope(t, width)
-        envelopes[1] = stokes_envelope(t, width)
+        envelopes[0], envelopes[1] = envelope_pair(t, width)
         return (blocks @ psi).reshape(dim, 2) @ envelopes
 
     return rhs
@@ -218,10 +214,8 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
 
     width = fields.width
     times = _sample_times(config, width)
-    edge = max(pump_envelope(config.t_start * width, width),
-               stokes_envelope(config.t_start * width, width),
-               pump_envelope(config.t_end * width, width),
-               stokes_envelope(config.t_end * width, width))
+    edge = max(*envelope_pair(config.t_start * width, width),
+               *envelope_pair(config.t_end * width, width))
     if edge > EDGE_ENVELOPE_TOL:
         warnings.warn(
             f"pulse envelopes reach {edge:.2e} of peak at the window edges; "

@@ -27,7 +27,8 @@ DELETED = ["PulseSpec", "fieldset_from_pulses", "rabi_pump", "rabi_stokes",
            "reduce_channels", "s_matrix", "det_s", "track_eigenvector",
            "phase_aligned_overlap", "evolve_state", "adiabaticity_report",
            "LadderRung", "AdiabaticityReport", "nonadiabatic_coupling",
-           "CouplingDiagnostics"]
+           "CouplingDiagnostics", "pump_envelope", "stokes_envelope",
+           "coupling_blocks"]
 
 
 @pytest.mark.parametrize("module", ["stirapkit"] + MODULES)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from stirapkit import (FieldSet, NullVector, NullVectorLabel, StateVector,
-                       SystemSpec, TargetSpec, coupling_blocks, design_fields,
-                       ground_state, hamiltonian, matched_pump_rabi,
-                       pump_envelope, stokes_envelope)
+                       SystemSpec, TargetSpec, design_fields, envelope_pair,
+                       ground_state, hamiltonian, log_envelope_ratio,
+                       matched_pump_rabi)
 
 from helpers import crandn, random_feasible_system
 
@@ -274,9 +274,9 @@ class TestCouplingBlockCache:
 
     @staticmethod
     def weighted_blocks(fields, t):
-        h_pump, h_stokes = coupling_blocks(fields)
-        return (pump_envelope(t, fields.width) * h_pump
-                + stokes_envelope(t, fields.width) * h_stokes)
+        f_p, f_s = envelope_pair(t, fields.width)
+        h_pump, h_stokes = fields.coupling_stack
+        return f_p * h_pump + f_s * h_stokes
 
     def test_hamiltonian_equals_weighted_blocks(self):
         rng = np.random.default_rng(31)
@@ -306,3 +306,77 @@ class TestCouplingBlockCache:
         assert not np.array_equal(hamiltonian(THREE_LEVEL, scaled, 0.4),
                                   before)
         assert np.array_equal(hamiltonian(THREE_LEVEL, fields, 0.4), before)
+
+
+class TestEnvelopePair:
+    """``envelope_pair`` and ``log_envelope_ratio``: the one home of the pulses."""
+
+    WIDTHS = (0.37, 1.0, 2.5)
+
+    def test_envelope_pair_matches_literal_gaussians_bitwise(self):
+        # Scalar (Python float) times.  The square must stay ``** 2``: on a
+        # Python float that is libm's pow, which differs from a multiply (what
+        # numpy does for an array square) in the last bit on 163 of 200,000
+        # random arguments, and the trajectory CSV bytes depend on every bit.
+        rng = np.random.default_rng(16)
+        for w in self.WIDTHS:
+            for t in (w * rng.uniform(-6.0, 7.0, 10_000)).tolist():
+                f_p, f_s = envelope_pair(t, w)
+                assert f_p == np.exp(-((t - w) / w) ** 2)
+                assert f_s == np.exp(-(t / w) ** 2)
+
+    def test_log_envelope_ratio_is_log_of_the_pair_ratio(self):
+        rng = np.random.default_rng(17)
+        tiny = np.finfo(float).tiny
+        checked = 0
+        for w in self.WIDTHS:
+            for t in (w * rng.uniform(-30.0, 30.0, 5_000)).tolist():
+                f_p, f_s = envelope_pair(t, w)
+                if f_p < tiny or f_s < tiny:
+                    continue
+                ratio = log_envelope_ratio(t, w)
+                assert abs(ratio - math.log(f_p / f_s)) <= 1e-12 * (1 + abs(ratio))
+                checked += 1
+        assert checked > 10_000
+
+    def test_log_envelope_ratio_finite_where_both_envelopes_underflow(self):
+        assert envelope_pair(1e3, 1.0) == (0.0, 0.0)
+        assert log_envelope_ratio(1e3, 1.0) == 1999.0
+
+
+class TestCouplingStack:
+    """``FieldSet.coupling_stack``: one read-only (2, d, d) stack per field set."""
+
+    def test_coupling_stack_is_read_only_and_cached(self):
+        fields = simple_fields()
+        stack = fields.coupling_stack
+        assert stack.shape == (2, 3, 3)
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 1] = 1.0
+        assert fields.coupling_stack is stack
+        hamiltonian(THREE_LEVEL, fields, 0.3)
+        assert fields.coupling_stack is stack
+
+    def test_coupling_stack_layout(self):
+        rng = np.random.default_rng(18)
+        pump, stokes = crandn(rng, 3), crandn(rng, 3, 2)
+        stack = FieldSet(pump, stokes, 1.0).coupling_stack
+        assert np.array_equal(stack[0, 0, 1:4], pump)
+        assert np.array_equal(stack[0, 1:4, 0], pump.conj())
+        assert np.array_equal(stack[1, 1:4, 4:], stokes)
+        assert np.array_equal(stack[1, 4:, 1:4], stokes.conj().T)
+        mask = np.zeros((2, 6, 6), dtype=bool)
+        mask[0, 0, 1:4] = mask[0, 1:4, 0] = True
+        mask[1, 1:4, 4:] = mask[1, 4:, 1:4] = True
+        assert not stack[~mask].any()
+
+    def test_hamiltonian_is_pair_weighted_stack(self):
+        rng = np.random.default_rng(19)
+        system = random_feasible_system(rng, 4, 2)
+        fields = FieldSet(crandn(rng, 4), crandn(rng, 4, 2) * 30, 0.8)
+        stack = fields.coupling_stack
+        for t in (fields.width * rng.uniform(-5.0, 6.0, 200)).tolist():
+            f_p, f_s = envelope_pair(t, fields.width)
+            assert np.array_equal(hamiltonian(system, fields, t),
+                                  f_p * stack[0] + f_s * stack[1])

@@ -1,5 +1,6 @@
 """Schrodinger propagation: accuracy, population bookkeeping, ladders."""
 
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -190,6 +191,34 @@ class TestPropagate:
         cfg = PropagationConfig(t_start=-1.0, t_end=2.0)
         with pytest.warns(UserWarning, match="window"):
             propagate(system, fields, ground_state(system), cfg)
+
+    # windows in width units, at width 1, where exactly one of the four
+    # edge envelope values exceeds EDGE_ENVELOPE_TOL; the value reported is
+    # that envelope's, as a test-side Gaussian gives it
+    @pytest.mark.parametrize("window, hot", [
+        ((-3.0, 6.0), math.exp(-9.0)),     # Stokes at the start
+        ((4.5, 10.0), math.exp(-12.25)),   # pump at the start
+        ((-10.0, -3.0), math.exp(-9.0)),   # Stokes at the end
+        ((-4.0, 4.0), math.exp(-9.0)),     # pump at the end
+    ], ids=["stokes-start", "pump-start", "stokes-end", "pump-end"])
+    def test_one_hot_edge_warns(self, monkeypatch, window, hot):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                            unreachable_solve_ivp)
+        assert hot > stirapkit.propagation.EDGE_ENVELOPE_TOL
+        system, fields = three_level()
+        cfg = PropagationConfig(t_start=window[0], t_end=window[1])
+        with pytest.warns(UserWarning, match=f"reach {hot:.2e} of peak"):
+            with pytest.raises(AssertionError, match="integrator was called"):
+                propagate(system, fields, ground_state(system), cfg)
+
+    def test_default_window_edges_silent(self, monkeypatch):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                            unreachable_solve_ivp)
+        system, fields = three_level()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AssertionError, match="integrator was called"):
+                propagate(system, fields, ground_state(system))
 
     def test_every_caller_rejects_a_mismatched_field_set(self):
         system = SystemSpec(2, 2, [1, 1], [[1, 1], [1, 1]])
