@@ -68,19 +68,6 @@ def _entry_exit_code(entry: SweepEntry) -> int:
                 EXIT_NUMERICAL)
 
 
-def _apply_flags(scenario, window, rel_tol, abs_tol, stride):
-    updates = {}
-    if window is not None:
-        updates["t_start"], updates["t_end"] = window
-    if rel_tol is not None:
-        updates["rel_tol"] = rel_tol
-    if abs_tol is not None:
-        updates["abs_tol"] = abs_tol
-    if stride is not None:
-        updates["output_stride"] = stride
-    return scenario.with_propagation(**updates)
-
-
 def _echo_record(record: RunRecord) -> None:
     click.echo(f"label:        {record.label}")
     click.echo(f"config hash:  {record.config_hash[:16]}")
@@ -100,7 +87,13 @@ def _echo_record(record: RunRecord) -> None:
         click.echo("bounds:       OK")
 
 
-def _run_one(scenario, out_dir):
+def _run_one(scenario_ref, window, rel_tol, abs_tol, stride, out_dir):
+    """Load SCENARIO_REF, apply the propagation flags given, run and report."""
+    settings = {"rel_tol": rel_tol, "abs_tol": abs_tol, "output_stride": stride}
+    if window is not None:
+        settings["t_start"], settings["t_end"] = window
+    scenario = load_scenario(scenario_ref).with_propagation(
+        **{key: value for key, value in settings.items() if value is not None})
     record, _ = run_scenario(scenario, out_dir)
     _echo_record(record)
     if not record.bounds_ok:
@@ -139,24 +132,27 @@ def design(scenario_ref, out_file):
     fields = None
     if scenario.fields is not None or report.feasible:
         fields = scenario.resolve_fields()
+
+    def pair(value):
+        return [value.real, value.imag]
+
     payload = {
         "label": scenario.label,
         "feasible": report.feasible,
-        "eta": [report.eta.real, report.eta.imag],
+        "eta": pair(report.eta),
         "pruned_pumps": sorted(report.pruned_pumps),
         "selected_rows": list(report.selected_rows),
-        "det_check": [report.det_check.real, report.det_check.imag],
-        "effective_target_dipoles": [[v.real, v.imag]
-                                     for v in report.effective_target_dipoles],
+        "det_check": pair(report.det_check),
+        "effective_target_dipoles": list(map(pair,
+                                             report.effective_target_dipoles)),
         "notes": list(report.notes),
     }
     if fields is not None:
         verdict = verify_design(scenario.system, fields, scenario.target)
         payload["verified"] = verdict.ok
         payload["residual"] = verdict.residual
-        payload["fitted_eta"] = [verdict.eta.real, verdict.eta.imag]
-        payload["peak_rabi_pump"] = [[v.real, v.imag]
-                                     for v in fields.peak_rabi_pump]
+        payload["fitted_eta"] = pair(verdict.eta)
+        payload["peak_rabi_pump"] = list(map(pair, fields.peak_rabi_pump))
     text = json.dumps(payload, indent=2)
     if out_file:
         with open(out_file, "w") as handle:
@@ -191,9 +187,7 @@ def verify(scenario_ref):
 @_out_option
 def run_cmd(scenario_ref, window, rel_tol, abs_tol, stride, out_dir):
     """Execute one scenario: design/verify, propagate, check bounds."""
-    scenario = _apply_flags(load_scenario(scenario_ref), window, rel_tol,
-                            abs_tol, stride)
-    _run_one(scenario, out_dir)
+    _run_one(scenario_ref, window, rel_tol, abs_tol, stride, out_dir)
 
 
 @main.command()
@@ -205,9 +199,7 @@ def run_cmd(scenario_ref, window, rel_tol, abs_tol, stride, out_dir):
 @_out_option
 def reproduce(name, window, rel_tol, abs_tol, stride, out_dir):
     """Run one of the built-in reference scenarios."""
-    scenario = _apply_flags(load_scenario(name), window, rel_tol, abs_tol,
-                            stride)
-    _run_one(scenario, out_dir)
+    _run_one(name, window, rel_tol, abs_tol, stride, out_dir)
 
 
 @main.command(name="sweep")

@@ -3,7 +3,9 @@
 A scenario bundles a system, a target, either a ready field set or a design
 request, propagation settings and optional population bounds.  Scenarios are
 JSON documents validated against :data:`SCENARIO_SCHEMA`; complex numbers are
-written either as plain numbers or as ``[re, im]`` pairs.  Four built-in
+written either as plain numbers or as ``[re, im]`` pairs.  The canonical form
+written by :func:`scenario_to_dict` is itself a scenario document: it spells
+every optional setting out, ``null`` where none is set.  Four built-in
 scenarios (``fig2`` .. ``fig5``) encode the reference parameter tables of the
 seven-intermediate, seven-degenerate demonstration system and its edits.
 
@@ -100,8 +102,8 @@ SCENARIO_SCHEMA = {
                 "stokes_amplitudes": {"type": "array",
                                       "items": {"type": "number", "minimum": 0},
                                       "minItems": 1},
-                "stokes_phases": {"type": "array", "items": {"type": "number"},
-                                  "minItems": 1},
+                "stokes_phases": {"type": ["array", "null"],
+                                  "items": {"type": "number"}, "minItems": 1},
             },
         },
         "propagation": {
@@ -112,7 +114,8 @@ SCENARIO_SCHEMA = {
                 "t_end": {"type": "number"},
                 "rel_tol": {"type": "number", "exclusiveMinimum": 0},
                 "abs_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_step": {"type": "number", "exclusiveMinimum": 0},
+                "max_step": {"type": ["number", "null"],
+                             "exclusiveMinimum": 0},
                 "stride": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -134,9 +137,10 @@ SCENARIO_SCHEMA = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "max_p_x": {"type": "number", "minimum": 0},
-                "max_p_y": {"type": "number", "minimum": 0},
-                "min_final_p_f": {"type": "number", "minimum": 0, "maximum": 1},
+                "max_p_x": {"type": ["number", "null"], "minimum": 0},
+                "max_p_y": {"type": ["number", "null"], "minimum": 0},
+                "min_final_p_f": {"type": ["number", "null"], "minimum": 0,
+                                  "maximum": 1},
             },
         },
     },
@@ -181,11 +185,20 @@ class DesignRequest:
     width: float = 1.0
 
     def __post_init__(self):
-        # the schema's limits let NaN and Infinity through, as for Bounds
-        for name in ("stokes_amplitudes", "stokes_phases", "eta", "width"):
-            value = getattr(self, name)
+        # stored as floats and a complex, so a request built in code hashes
+        # like the same request loaded from a file
+        phases = self.stokes_phases
+        converted = {
+            "stokes_amplitudes": tuple(map(float, self.stokes_amplitudes)),
+            "stokes_phases": None if phases is None else tuple(map(float, phases)),
+            "eta": complex(self.eta),
+            "width": float(self.width),
+        }
+        for name, value in converted.items():
+            # the schema's limits let NaN and Infinity through, as for Bounds
             if value is not None and not np.isfinite(value).all():
                 raise ScenarioError(f"design {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -221,6 +234,14 @@ class Scenario:
         if (self.fields is None) == (self.design is None):
             raise ScenarioError(
                 "scenario needs exactly one of 'fields' or 'design'")
+        if self.design is not None:
+            n = self.system.n_intermediate
+            if len(self.design.stokes_amplitudes) != n:
+                raise ScenarioError(
+                    "design needs one Stokes amplitude per channel")
+            phases = self.design.stokes_phases
+            if phases is not None and len(phases) != n:
+                raise ScenarioError("design needs one Stokes phase per channel")
 
     def with_propagation(self, **settings) -> "Scenario":
         """Copy with some propagation settings replaced, each checked."""
@@ -239,9 +260,8 @@ class Scenario:
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 return design_fields(self.system, self.target, req.eta,
-                                     req.width, np.array(req.stokes_amplitudes),
-                                     None if req.stokes_phases is None
-                                     else np.array(req.stokes_phases))
+                                     req.width, req.stokes_amplitudes,
+                                     req.stokes_phases)
             except DesignError:
                 raise
             except ValueError as exc:
@@ -398,23 +418,24 @@ def builtin_scenario(name: str) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    """Load a scenario from a JSON file, or by built-in name.
+    """Load a scenario by built-in name, or else from a JSON file.
 
-    Validates against :data:`SCENARIO_SCHEMA` and applies all overrides, so
-    the returned scenario is fully resolved.
+    A built-in name always means the built-in: a file called ``fig2`` is
+    reached as ``./fig2``.  Validates against :data:`SCENARIO_SCHEMA` and
+    applies all overrides, so the returned scenario is fully resolved.
     """
-    p = Path(path)
-    if p.is_file():
-        try:
-            raw = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"{p}: not valid JSON: {exc}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ScenarioError(f"{p}: cannot read: {exc}") from exc
-        return _scenario_from_dict(raw)
     if str(path) in builtin_names():
         return builtin_scenario(str(path))
-    raise ScenarioError(f"no scenario file or built-in named {path!r}")
+    p = Path(path)
+    if not p.is_file():
+        raise ScenarioError(f"no scenario file or built-in named {path!r}")
+    try:
+        raw = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{p}: not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"{p}: cannot read: {exc}") from exc
+    return _scenario_from_dict(raw)
 
 
 def _apply_overrides(fields: FieldSet, overrides: list[dict]) -> FieldSet:
@@ -471,39 +492,27 @@ def _scenario_from_dict(raw: dict) -> Scenario:
 
     design = None
     if "design" in raw:
-        ddict = raw["design"]
-        amplitudes = tuple(float(a) for a in ddict["stokes_amplitudes"])
-        if len(amplitudes) != system.n_intermediate:
-            raise ScenarioError("design needs one Stokes amplitude per channel")
-        phases = ddict.get("stokes_phases")
-        if phases is not None:
-            if len(phases) != system.n_intermediate:
-                raise ScenarioError("design needs one Stokes phase per channel")
-            phases = tuple(float(p) for p in phases)
-        design = DesignRequest(
-            stokes_amplitudes=amplitudes,
-            stokes_phases=phases,
-            eta=_to_complex(ddict.get("eta", 1.0)),
-            width=float(ddict.get("width", 1.0)),
-        )
+        block = dict(raw["design"])
+        if "eta" in block:
+            block["eta"] = _to_complex(block["eta"])
+        design = DesignRequest(**block)
 
     prop_raw = dict(raw.get("propagation", {}))
     if "stride" in prop_raw:
         prop_raw["output_stride"] = prop_raw.pop("stride")
 
-    bounds_raw = raw.get("bounds", {})
-    bounds = Bounds(max_p_x=bounds_raw.get("max_p_x"),
-                    max_p_y=bounds_raw.get("max_p_y"),
-                    min_final_p_f=bounds_raw.get("min_final_p_f"))
-
     return Scenario(label=raw["label"], system=system, target=target,
                     fields=fields, design=design,
                     propagation=PropagationConfig(),
-                    bounds=bounds).with_propagation(**prop_raw)
+                    bounds=Bounds(**raw.get("bounds", {}))
+                    ).with_propagation(**prop_raw)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical JSON-ready form of a resolved scenario (hash input)."""
+    """Canonical JSON-ready form of a resolved scenario (hash input).
+
+    Written out as JSON it loads back to a scenario with the same hash.
+    """
     out: dict = {
         "label": scenario.label,
         "system": {
@@ -522,11 +531,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "max_step": scenario.propagation.max_step,
             "stride": scenario.propagation.output_stride,
         },
-        "bounds": {
-            "max_p_x": scenario.bounds.max_p_x,
-            "max_p_y": scenario.bounds.max_p_y,
-            "min_final_p_f": scenario.bounds.min_final_p_f,
-        },
+        "bounds": dataclasses.asdict(scenario.bounds),
     }
     if scenario.fields is not None:
         out["fields"] = {
@@ -720,7 +725,7 @@ def _sweep_worker(args) -> SweepEntry:
         derived = _derive_scenario(scenario, axis, value, pump_index)
         record, _ = run(derived, out_dir)
         return SweepEntry(value=value, record=record)
-    except (DesignError, ScenarioError, RuntimeError, ValueError) as exc:
+    except (ValueError, RuntimeError) as exc:  # DesignError, ScenarioError too
         return SweepEntry(value=value, record=None,
                           error=f"{type(exc).__name__}: {exc}")
 

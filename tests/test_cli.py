@@ -274,6 +274,17 @@ class TestReproduce:
         assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("ref, label", [("fig2", "fig2"),
+                                        ("./fig2", "not-fig2")])
+def test_file_does_not_shadow_builtin(runner, tmp_path, monkeypatch, ref,
+                                      label):
+    write_scenario(tmp_path, mini_dict(label="not-fig2"), name="fig2")
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, ["design", ref])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.stdout)["label"] == label
+
+
 class TestVerifyAndDesign:
     def test_verify_ok(self, runner, tmp_path):
         ref = write_scenario(tmp_path, mini_dict())

@@ -1,5 +1,6 @@
 """Scenario files, built-in reproductions, runs and sweeps."""
 
+import dataclasses
 import json
 import math
 import warnings
@@ -14,7 +15,8 @@ from stirapkit import (DesignError, ScenarioError, TargetSpec, Trajectory,
                        builtin_names, builtin_scenario, config_hash,
                        load_scenario, run, scenario_to_dict, sweep,
                        write_trajectory_csv)
-from stirapkit.scenarios import SCENARIO_SCHEMA, Bounds, _check_bounds
+from stirapkit.scenarios import (SCENARIO_SCHEMA, Bounds, DesignRequest,
+                                 _check_bounds)
 
 from helpers import trajectory_csv_oracle
 
@@ -416,6 +418,60 @@ BUILTIN_HASHES = {
 @pytest.mark.parametrize("name", sorted(BUILTIN_HASHES))
 def test_builtin_config_hash_pinned(name):
     assert config_hash(builtin_scenario(name)) == BUILTIN_HASHES[name]
+
+
+class TestCanonicalForm:
+    """``scenario_to_dict`` writes a document ``load_scenario`` reads back."""
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_HASHES) + ["design"])
+    def test_saved_canonical_form_loads_with_same_hash(self, tmp_path, name):
+        if name == "design":
+            raw = design_scenario_dict()
+            assert "bounds" not in raw and "stokes_phases" not in raw["design"]
+            scenario = load_scenario_from(raw)
+        else:
+            scenario = builtin_scenario(name)
+        path = tmp_path / "saved.json"
+        path.write_text(json.dumps(scenario_to_dict(scenario)))
+        assert config_hash(load_scenario(path)) == config_hash(scenario)
+
+    def test_design_request_converts_its_types(self):
+        request = DesignRequest((120, 80), eta=2)
+        assert request.stokes_amplitudes == (120.0, 80.0)
+        assert all(type(a) is float for a in request.stokes_amplitudes)
+        assert request.eta == 2 + 0j and type(request.eta) is complex
+        assert type(request.width) is float
+        loaded = load_scenario_from(design_scenario_dict(eta=2))
+        in_code = dataclasses.replace(loaded, design=request)
+        assert config_hash(in_code) == config_hash(loaded)
+
+    @pytest.mark.parametrize("request_, message", [
+        (DesignRequest((120.0,)),
+         "design needs one Stokes amplitude per channel"),
+        (DesignRequest((120.0, 80.0), stokes_phases=(0.0,)),
+         "design needs one Stokes phase per channel"),
+    ], ids=["amplitudes", "phases"])
+    def test_scenario_in_code_checks_channel_count(self, request_, message):
+        loaded = load_scenario_from(design_scenario_dict())
+        with pytest.raises(ScenarioError) as got:
+            dataclasses.replace(loaded, design=request_)
+        assert str(got.value) == message
+
+
+class TestBuiltinNameFirst:
+    """A file named like a built-in does not shadow it."""
+
+    @pytest.fixture
+    def decoy_dir(self, tmp_path, monkeypatch):
+        (tmp_path / "fig2").write_text(
+            json.dumps(small_scenario_dict(label="not-fig2")))
+        monkeypatch.chdir(tmp_path)
+
+    def test_builtin_name_means_builtin(self, decoy_dir):
+        assert load_scenario("fig2").label == "fig2"
+
+    def test_file_reached_by_path(self, decoy_dir):
+        assert load_scenario("./fig2").label == "not-fig2"
 
 
 class TestRun:
