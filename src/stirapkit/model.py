@@ -33,6 +33,18 @@ __all__ = [
 ]
 
 
+def as_float(value) -> float:
+    """``float(value)``, with an integer too large for a float read as infinite.
+
+    Callers reject infinities with their own finiteness checks, so a
+    400-digit JSON number is bad input (ValueError), not an OverflowError.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _complex_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
     """Read-only complex copy of ``values``, checked for shape and finiteness."""
     arr = np.array(values, dtype=complex)
@@ -94,6 +106,8 @@ class FieldSet:
     width: float
 
     def __post_init__(self):
+        # stored as a float, so that a width of 1 hashes like one of 1.0
+        object.__setattr__(self, "width", as_float(self.width))
         if not 0 < self.width < math.inf:
             raise ValueError("pulse width must be positive and finite")
         stokes = np.asarray(self.peak_rabi_stokes, dtype=complex)

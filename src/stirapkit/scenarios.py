@@ -28,7 +28,7 @@ import numpy as np
 
 from .design import (DesignError, TargetSpec, design_fields, matched_pump_rabi,
                      verify_design)
-from .model import FieldSet, SystemSpec, ground_state
+from .model import FieldSet, SystemSpec, as_float, ground_state
 from .propagation import PropagationConfig, Trajectory, propagate
 
 __all__ = [
@@ -155,8 +155,8 @@ SWEEP_AXES = ("width", "amplitude-scale", "phase-perturbation", "eta")
 
 def _to_complex(value) -> complex:
     if isinstance(value, (int, float)):
-        return complex(value)
-    return complex(value[0], value[1])
+        return complex(as_float(value))
+    return complex(as_float(value[0]), as_float(value[1]))
 
 
 def _from_complex(value: complex):
@@ -189,10 +189,10 @@ class DesignRequest:
         # like the same request loaded from a file
         phases = self.stokes_phases
         converted = {
-            "stokes_amplitudes": tuple(map(float, self.stokes_amplitudes)),
-            "stokes_phases": None if phases is None else tuple(map(float, phases)),
+            "stokes_amplitudes": tuple(map(as_float, self.stokes_amplitudes)),
+            "stokes_phases": None if phases is None else tuple(map(as_float, phases)),
             "eta": complex(self.eta),
-            "width": float(self.width),
+            "width": as_float(self.width),
         }
         for name, value in converted.items():
             # the schema's limits let NaN and Infinity through, as for Bounds
@@ -214,8 +214,13 @@ class Bounds:
         # false), and an infinite limit bounds nothing
         for name in ("max_p_x", "max_p_y", "min_final_p_f"):
             value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
+            if value is None:
+                continue
+            # stored as a float, so that a bound of 1 hashes like one of 1.0
+            value = as_float(value)
+            if not np.isfinite(value):
                 raise ScenarioError(f"bound {name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

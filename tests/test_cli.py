@@ -105,6 +105,23 @@ class TestBadDesignRequest:
         assert "Warning" not in result.output
 
 
+@pytest.mark.parametrize("raw", [
+    mini_dict(fields={"peak_rabi_pump": [60.0], "peak_rabi_stokes": [[60.0]],
+                      "width": 10 ** 400}),
+    bad_design_dict(width=10 ** 400)], ids=["fields", "design"])
+def test_integer_width_too_large_for_a_float(runner, tmp_path, monkeypatch,
+                                             raw):
+    # a 400-digit JSON integer is bad input, not an OverflowError traceback
+    monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                        unreachable_solve_ivp)
+    result = runner.invoke(main, ["run", write_scenario(tmp_path, raw)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+    assert "finite" in result.output
+    assert len(result.output.splitlines()) == 1
+
+
 class TestOverflowingWidth:
     """A finite width whose window overflows fails before the integrator."""
 

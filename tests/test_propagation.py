@@ -275,6 +275,84 @@ def test_trajectory_exposes_states_not_a_final_state():
     assert not hasattr(Trajectory, "final_state")
 
 
+class TestDop853Oracle:
+    """The package's DOP853 loop equals ``scipy.integrate.solve_ivp``'s.
+
+    Same right-hand side, window and options on both sides; the sampled
+    states must be equal bit for bit, and so must the number of RHS calls.
+    """
+
+    @staticmethod
+    def both(system, fields, rtol=1e-10, max_step=0.25):
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+        width = fields.width
+        times = width * np.linspace(-4.0, 5.0, 901)
+        psi0 = ground_state(system).components
+        options = dict(method="DOP853", rtol=rtol, atol=rtol,
+                       max_step=max_step * width, t_eval=times)
+        ours = stirapkit.propagation.solve_ivp(
+            stirapkit.propagation._make_rhs(fields), (times[0], times[-1]),
+            psi0, **options)
+        theirs = scipy_solve_ivp(stirapkit.propagation._make_rhs(fields),
+                                 (times[0], times[-1]), psi0, **options)
+        return ours, theirs
+
+    def assert_same(self, ours, theirs):
+        assert ours.success and theirs.success
+        assert ours.y.shape == theirs.y.shape
+        assert np.array_equal(ours.y, theirs.y)
+        assert ours.nfev == theirs.nfev
+
+    def test_fig2(self):
+        scenario = builtin_scenario("fig2")
+        ours, theirs = self.both(scenario.system, scenario.fields)
+        self.assert_same(ours, theirs)
+        assert ours.nfev == 17_471
+
+    @pytest.mark.parametrize("seed", [3, 5, 8])
+    def test_random_designed_systems(self, seed):
+        rng = np.random.default_rng(seed)
+        system = random_feasible_system(rng, 5, 3)
+        fields, _, _ = random_designed_fields(rng, system)
+        self.assert_same(*self.both(system, fields))
+
+    def test_rejected_steps(self):
+        # no step cap and a tight tolerance: the controller rejects steps
+        from scipy.integrate import DOP853
+        scenario = builtin_scenario("fig2")
+        ours, theirs = self.both(scenario.system, scenario.fields,
+                                 rtol=1e-12, max_step=math.inf)
+        self.assert_same(ours, theirs)
+        # each attempted step costs 12 RHS calls; count the retried ones
+        solver = DOP853(stirapkit.propagation._make_rhs(scenario.fields),
+                        -4.0, ground_state(scenario.system).components, 5.0,
+                        rtol=1e-12, atol=1e-12)
+        rejected = 0
+        while solver.status == "running":
+            before = solver.nfev
+            solver.step()
+            rejected += (solver.nfev - before) // 12 - 1
+        assert rejected > 0
+
+    def test_step_size_underflow_fails_like_scipy(self):
+        system, fields = three_level()
+        fields = fields.with_width(1e20)
+        ours, theirs = self.both(system, fields)
+        assert not ours.success and not theirs.success
+        assert ours.message == theirs.message
+        assert ours.nfev == theirs.nfev
+
+
+def test_step_size_underflow_is_a_propagation_error():
+    # an enormous pulse area at a huge width: the step falls below the
+    # spacing of the floats around t long before the window ends
+    system = SystemSpec(1, 1, [1], [[1]])
+    with pytest.raises(PropagationError) as got:
+        propagate(system, FieldSet([60], [[60]], 1e20), ground_state(system))
+    assert str(got.value) == ("integration failed: Required step size is "
+                              "less than spacing between numbers.")
+
+
 class TestPopulations:
     def test_initial_state_all_zero(self):
         system, fields = three_level()

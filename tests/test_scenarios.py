@@ -458,6 +458,54 @@ class TestCanonicalForm:
         assert str(got.value) == message
 
 
+class TestIntegersHashLikeFloats:
+    """A JSON integer and the same number written as a float are one setting."""
+
+    @pytest.mark.parametrize("block, key, number", [
+        ("fields", "width", 1),
+        ("propagation", "t_start", -4),
+        ("propagation", "t_end", 5),
+        ("propagation", "rel_tol", 1),
+        ("propagation", "abs_tol", 1),
+        ("propagation", "max_step", 1),
+        ("propagation", "stride", 1),
+        ("bounds", "max_p_x", 1),
+        ("bounds", "max_p_y", 1),
+        ("bounds", "min_final_p_f", 0),
+    ])
+    def test_same_hash(self, block, key, number):
+        scenarios = []
+        for value in (number, float(number)):
+            raw = small_scenario_dict()
+            raw.setdefault(block, {})[key] = value
+            scenarios.append(load_scenario_from(raw))
+        as_int, as_float = scenarios
+        assert config_hash(as_int) == config_hash(as_float)
+        assert scenario_to_dict(as_int) == scenario_to_dict(as_float)
+
+    def test_stored_as_floats_when_built_in_code(self):
+        from stirapkit import FieldSet, PropagationConfig
+        assert type(FieldSet([60], [[60]], 2).width) is float
+        config = PropagationConfig(t_start=-4, t_end=5, rel_tol=1, abs_tol=1,
+                                   max_step=1, output_stride=1)
+        assert all(type(getattr(config, f.name)) is float
+                   for f in dataclasses.fields(config))
+        assert PropagationConfig().max_step is None
+        bounds = Bounds(max_p_x=1, max_p_y=0, min_final_p_f=1)
+        assert all(type(getattr(bounds, f.name)) is float
+                   for f in dataclasses.fields(bounds))
+        assert Bounds(max_p_x=1).max_p_y is None
+
+    @pytest.mark.parametrize("block, key", [
+        ("fields", "width"), ("propagation", "t_start"),
+        ("propagation", "max_step"), ("bounds", "max_p_x")])
+    def test_integer_too_large_for_a_float_is_bad_input(self, block, key):
+        raw = small_scenario_dict()
+        raw.setdefault(block, {})[key] = 10 ** 400
+        with pytest.raises(ScenarioError, match="finite"):
+            load_scenario_from(raw)
+
+
 class TestBuiltinNameFirst:
     """A file named like a built-in does not shadow it."""
 
