@@ -745,8 +745,9 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
     given ratio).  With more than one job the entries execute in a process
     pool of at most one worker per value; either way they are returned in
     input order.  When ``out_dir`` is given, each run writes its files there
-    and ``sweep.csv`` tabulates all entries.  Values whose run labels
-    coincide (labels print values with ``:g``) are rejected before any run.
+    and ``sweep.csv`` tabulates all entries.  Fewer than one job, and values
+    whose run labels coincide (labels print values with ``:g``), are
+    rejected before any run.
     """
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -766,6 +767,8 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
     tasks = [(scenario, axis, v, pump_index, out_dir) for v in values]
     if jobs is None:
         jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise ScenarioError(f"sweep needs at least one job, got {jobs}")
     # a fork-based pool starts all its workers on the first submit
     jobs = min(jobs, len(tasks))
     if jobs <= 1:

@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from stirapkit import (Bounds, FieldSet, PropagationConfig, Scenario,
-                       SystemSpec, TargetSpec, check_feasibility,
-                       design_fields, sweep)
+                       SystemSpec, TargetSpec, builtin_scenario,
+                       check_feasibility, design_fields, sweep)
 
 
 def crandn(rng, *shape):
@@ -65,6 +65,21 @@ def random_designed_fields(rng, system, target=None, rabi_scale=80.0,
     fields = design_fields(system, target, eta, width, amplitudes, phases)
     mean = np.abs(fields.peak_rabi_stokes).mean()
     return fields.scaled(rabi_scale / mean), target, eta
+
+
+def named_system_and_fields(case: str):
+    """A built-in scenario's system and fields, or a seeded complex design.
+
+    ``"fig2"`` names a built-in scenario; ``"seed41"`` draws a 5/3 system
+    and its designed fields from ``default_rng(41)``.
+    """
+    if case.startswith("fig"):
+        scenario = builtin_scenario(case)
+        return scenario.system, scenario.resolve_fields()
+    rng = np.random.default_rng(int(case.removeprefix("seed")))
+    system = random_feasible_system(rng, 5, 3)
+    fields, _, _ = random_designed_fields(rng, system, width=1.3)
+    return system, fields
 
 
 def width_ladder(system, fields, target=None):

@@ -8,6 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 import stirapkit.propagation
+import stirapkit.scenarios
 from stirapkit.cli import main
 
 from helpers import nan_solve_ivp, unreachable_solve_ivp
@@ -413,6 +414,20 @@ class TestSweep:
             "error: sweep values 1.0000001 and 1.0000002 both give the run "
             "label 'mini[amp x1]'")
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_1(self, runner, tmp_path, monkeypatch, jobs):
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(stirapkit.scenarios, "_sweep_worker", no_run)
+        ref = write_scenario(tmp_path, mini_dict())
+        result = runner.invoke(main, [
+            "sweep", ref, "--axis", "width", "--values", "1,2",
+            f"--jobs={jobs}"])
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines() == [
+            f"error: sweep needs at least one job, got {jobs}"]
 
     def test_bad_values_string(self, runner, tmp_path):
         ref = write_scenario(tmp_path, mini_dict())

@@ -10,7 +10,7 @@ from stirapkit import (FieldSet, NullVector, NullVectorLabel, StateVector,
                        ground_state, hamiltonian, log_envelope_ratio,
                        matched_pump_rabi)
 
-from helpers import crandn, random_feasible_system
+from helpers import crandn, named_system_and_fields, random_feasible_system
 
 THREE_LEVEL = SystemSpec(1, 1, [1.0], [[1.0]])
 
@@ -380,3 +380,40 @@ class TestCouplingStack:
             f_p, f_s = envelope_pair(t, fields.width)
             assert np.array_equal(hamiltonian(system, fields, t),
                                   f_p * stack[0] + f_s * stack[1])
+
+
+class TestHamiltonianProduct:
+    """``hamiltonian`` weights the stack with one float dot product."""
+
+    @pytest.mark.parametrize("case", ["fig2", "fig3", "fig4", "fig5",
+                                      "seed41", "seed42"])
+    def test_equals_weighted_sum_with_signed_zeros(self, case):
+        # the pump and Stokes blocks have disjoint supports, so each entry is
+        # one rounded product plus an exact zero; the times reach far enough
+        # into the tails that both envelopes underflow to zero
+        system, fields = named_system_and_fields(case)
+        stack = fields.coupling_stack
+        rng = np.random.default_rng(1900)
+        times = fields.width * np.concatenate([rng.uniform(-5.0, 6.0, 2000),
+                                               rng.uniform(-40.0, 40.0, 500)])
+        got = np.array([hamiltonian(system, fields, t) for t in times.tolist()])
+        want = np.array([f_p * stack[0] + f_s * stack[1]
+                         for f_p, f_s in (envelope_pair(t, fields.width)
+                                          for t in times.tolist())])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)),
+                              np.signbit(want.view(float)))
+        assert (got == 0).all(axis=(1, 2)).any()
+
+    def test_result_is_writeable_and_its_own(self):
+        system, fields = named_system_and_fields("fig2")
+        first = hamiltonian(system, fields, 0.4)
+        assert first.shape == (system.dim, system.dim)
+        assert first.dtype == complex
+        assert first.flags.writeable
+        assert not np.shares_memory(first, fields.coupling_stack)
+        kept = first.copy()
+        first[0, 1] = 7.0
+        second = hamiltonian(system, fields, 0.4)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(second, kept)

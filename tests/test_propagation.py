@@ -10,14 +10,14 @@ import pytest
 import stirapkit.propagation
 from stirapkit import (FieldSet, PropagationConfig, PropagationError,
                        StateVector, SystemSpec, TargetSpec, Trajectory,
-                       analytic_lambda1,
-                       builtin_scenario, ground_state, hamiltonian,
-                       matched_pump_rabi, populations, propagate,
-                       verify_design)
+                       analytic_lambda1, builtin_scenario, envelope_pair,
+                       ground_state, hamiltonian, matched_pump_rabi,
+                       populations, propagate, verify_design)
 
-from helpers import (crandn, nan_solve_ivp, random_designed_fields,
-                     random_feasible_system, raw_hamiltonian, rk4_evolve,
-                     unreachable_solve_ivp, width_ladder)
+from helpers import (crandn, named_system_and_fields, nan_solve_ivp,
+                     random_designed_fields, random_feasible_system,
+                     raw_hamiltonian, rk4_evolve, unreachable_solve_ivp,
+                     width_ladder)
 
 
 def three_level(rabi=60.0):
@@ -87,6 +87,35 @@ class TestRightHandSide:
             got = rhs(t, psi)
             assert got.shape == (dim,)
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("case", ["fig2", "fig3", "fig4", "fig5",
+                                      "seed61", "seed62"])
+    def test_equals_stacked_contraction(self, case):
+        # the row-pair matvec and two-term contraction written with ``@``
+        _, fields = named_system_and_fields(case)
+        stack = fields.coupling_stack
+        dim = stack.shape[-1]
+        blocks = (-1j * stack).swapaxes(0, 1).reshape(2 * dim, dim)
+        rhs = stirapkit.propagation._make_rhs(fields)
+        rng = np.random.default_rng(1901)
+        for t in (fields.width * rng.uniform(-5.0, 6.0, 300)).tolist():
+            psi = crandn(rng, dim)
+            envelopes = np.array(envelope_pair(t, fields.width), dtype=complex)
+            want = (blocks @ psi).reshape(dim, 2) @ envelopes
+            assert np.array_equal(rhs(t, psi), want)
+
+    def test_each_call_returns_a_fresh_array(self):
+        # the step loop keeps f from one step to the next, so the matvec's
+        # output buffer must never be what a call returns
+        _, fields = named_system_and_fields("fig2")
+        rhs = stirapkit.propagation._make_rhs(fields)
+        dim = fields.coupling_stack.shape[-1]
+        rng = np.random.default_rng(1902)
+        first = rhs(0.3, crandn(rng, dim))
+        kept = first.copy()
+        second = rhs(0.7, crandn(rng, dim))
+        assert np.array_equal(first, kept)
+        assert not np.shares_memory(first, second)
 
 
 class TestPropagate:

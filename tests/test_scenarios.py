@@ -740,6 +740,17 @@ class TestSweep:
                                                 f"and {values[-1]!r}"):
             sweep(scenario, axis, values, jobs=1)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, monkeypatch, jobs):
+        def no_run(task):
+            raise AssertionError("a run started")
+
+        monkeypatch.setattr(stirapkit.scenarios, "_sweep_worker", no_run)
+        scenario = load_scenario_from(small_scenario_dict())
+        with pytest.raises(ScenarioError,
+                           match=f"at least one job, got {jobs}"):
+            sweep(scenario, "eta", [0.5, 2.0], jobs=jobs)
+
     def test_axis_validation(self):
         scenario = load_scenario_from(small_scenario_dict())
         with pytest.raises(ScenarioError, match="axis"):
