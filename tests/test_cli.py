@@ -249,6 +249,30 @@ class TestRun:
         assert lines[-1].split(",")[0] == "6"
 
 
+class TestWindowPastEnvelopeRange:
+    """A window whose edges square past the float range is bad input."""
+
+    def assert_one_error_line(self, result):
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        assert result.output.startswith(
+            "error: propagation config: the window must lie within")
+        assert len(result.output.splitlines()) == 1
+
+    def test_window_flag(self, runner, monkeypatch):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                            unreachable_solve_ivp)
+        self.assert_one_error_line(runner.invoke(main, [
+            "run", "fig2", "--window", "-1e200", "5", "--stride", "1e198"]))
+
+    def test_scenario_file(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                            unreachable_solve_ivp)
+        ref = write_scenario(tmp_path, mini_dict(
+            propagation={"t_start": -1e200, "stride": 1e198}))
+        self.assert_one_error_line(runner.invoke(main, ["run", ref]))
+
+
 @pytest.mark.parametrize("args", [
     ["run", "fig2", "--rel-tol", "abc"],
     ["sweep", "fig2", "--axis", "bogus", "--values", "1"],

@@ -57,6 +57,23 @@ class TestConfig:
                 PropagationConfig(rel_tol=tiny)
         assert PropagationConfig(rel_tol=floor).rel_tol == floor
 
+    @pytest.mark.parametrize("window", [(-1e200, 5.0), (-4.0, 1e151),
+                                        (1e200, 2e200), (-2e200, -1e200)])
+    def test_window_past_envelope_range_rejected(self, window):
+        # the envelopes square the window's edges, past the float range here
+        t_start, t_end = window
+        with pytest.raises(ValueError, match="window must lie within"):
+            PropagationConfig(t_start=t_start, t_end=t_end,
+                              output_stride=(t_end - t_start) / 100)
+
+    def test_farthest_window_fails_in_the_integrator(self):
+        # at the bound the envelopes stay finite; the float spacing around
+        # t is far above any step, so the run fails as a numerical failure
+        system, fields = three_level()
+        cfg = PropagationConfig(t_start=-1e150, t_end=5.0, output_stride=1e148)
+        with pytest.raises(PropagationError, match="Required step size"):
+            propagate(system, fields, ground_state(system), cfg)
+
     @pytest.mark.parametrize("setting", ["t_start", "t_end", "rel_tol",
                                          "abs_tol", "max_step", "output_stride"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -312,10 +329,10 @@ class TestDop853Oracle:
     """
 
     @staticmethod
-    def both(system, fields, rtol=1e-10, max_step=0.25):
+    def both(system, fields, rtol=1e-10, max_step=0.25, n_samples=901):
         from scipy.integrate import solve_ivp as scipy_solve_ivp
         width = fields.width
-        times = width * np.linspace(-4.0, 5.0, 901)
+        times = width * np.linspace(-4.0, 5.0, n_samples)
         psi0 = ground_state(system).components
         options = dict(method="DOP853", rtol=rtol, atol=rtol,
                        max_step=max_step * width, t_eval=times)
@@ -370,6 +387,101 @@ class TestDop853Oracle:
         assert not ours.success and not theirs.success
         assert ours.message == theirs.message
         assert ours.nfev == theirs.nfev
+
+    def test_many_samples_per_step(self):
+        # a stride of 1e-4 widths: dozens of samples fall in every step
+        scenario = builtin_scenario("fig2")
+        ours, theirs = self.both(scenario.system, scenario.fields,
+                                 n_samples=90_001)
+        self.assert_same(ours, theirs)
+        # every step costs at least 12 RHS calls, so there are at most
+        # nfev / 12 steps: more than 40 samples per step on average
+        assert 90_001 / (ours.nfev / 12) > 40
+
+    def test_steps_without_samples(self):
+        # a stride of one width: most steps hold no sample, and skip the
+        # three dense-output stages
+        scenario = builtin_scenario("fig2")
+        ours, theirs = self.both(scenario.system, scenario.fields,
+                                 n_samples=10)
+        self.assert_same(ours, theirs)
+        assert ours.nfev < 17_471
+
+    def test_more_sampled_steps_than_one_block(self):
+        from scipy.integrate import DOP853
+        scenario = builtin_scenario("fig2")
+        ours, theirs = self.both(scenario.system, scenario.fields, rtol=1e-12)
+        self.assert_same(ours, theirs)
+        # count the steps that hold a sample, on scipy's own step loop
+        # (fig2's width is 1, so its times are in width units)
+        times = np.linspace(-4.0, 5.0, 901)
+        solver = DOP853(stirapkit.propagation._make_rhs(scenario.fields),
+                        -4.0, ground_state(scenario.system).components, 5.0,
+                        rtol=1e-12, atol=1e-12, max_step=0.25)
+        sampled = 0
+        while solver.status == "running":
+            solver.step()
+            sampled += np.any((times > solver.t_old) & (times <= solver.t))
+        assert sampled > 2 * stirapkit.propagation._DENSE_BLOCK
+
+    @pytest.mark.parametrize("block", [1, 3])
+    def test_block_size_does_not_change_the_samples(self, monkeypatch, block):
+        monkeypatch.setattr(stirapkit.propagation, "_DENSE_BLOCK", block)
+        scenario = builtin_scenario("fig2")
+        self.assert_same(*self.both(scenario.system, scenario.fields))
+
+    @pytest.mark.parametrize("block", [128, 3])
+    def test_failure_partway_keeps_the_samples_reached(self, monkeypatch,
+                                                       block):
+        # y = y0 / (1 - t) blows up at t = 1: the step shrinks below the
+        # spacing of the floats there, after half of the samples
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+        monkeypatch.setattr(stirapkit.propagation, "_DENSE_BLOCK", block)
+
+        def pole(t, y):
+            return y / (1.0 - t)
+
+        options = dict(method="DOP853", rtol=1e-6, atol=1e-6,
+                       t_eval=np.linspace(0.0, 2.0, 41))
+        y0 = np.array([1.0, 0.5j])
+        ours = stirapkit.propagation.solve_ivp(pole, (0.0, 2.0), y0, **options)
+        theirs = scipy_solve_ivp(pole, (0.0, 2.0), y0, **options)
+        assert not ours.success and not theirs.success
+        assert ours.message == theirs.message
+        assert ours.nfev == theirs.nfev
+        assert ours.y.shape == theirs.y.shape == (2, 20)
+        assert np.array_equal(ours.y, theirs.y)
+
+
+class TestSampleTimes:
+    """``t_eval`` outside ``t_span`` or out of order fails as scipy's does."""
+
+    @staticmethod
+    def solve(solver, t_eval):
+        return solver(lambda t, y: -1j * y, (0.0, 1.0), np.array([1.0 + 0j]),
+                      method="DOP853", rtol=1e-8, atol=1e-8, t_eval=t_eval)
+
+    @pytest.mark.parametrize("t_eval, message", [
+        ([0.5, 1.0, 2.0], "not within `t_span`"),
+        ([-0.5, 0.5], "not within `t_span`"),
+        ([0.5, 0.2, 0.9], "not properly sorted"),
+        ([0.2, 0.2, 0.9], "not properly sorted")],
+        ids=["past-end", "before-start", "unsorted", "repeated"])
+    def test_rejected_like_scipy(self, t_eval, message):
+        from scipy.integrate import solve_ivp as scipy_solve_ivp
+        for solver in (stirapkit.propagation.solve_ivp, scipy_solve_ivp):
+            with pytest.raises(ValueError, match=f"Values in `t_eval` are "
+                                                 f"{message}"):
+                self.solve(solver, t_eval)
+
+    def test_nan_sample_rejected(self):
+        # scipy lets a NaN through; it would never be reached
+        with pytest.raises(ValueError, match="not within `t_span`"):
+            self.solve(stirapkit.propagation.solve_ivp, [0.0, math.nan])
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(ValueError, match="1-dimensional"):
+            self.solve(stirapkit.propagation.solve_ivp, [[0.0, 1.0]])
 
 
 def test_step_size_underflow_is_a_propagation_error():
