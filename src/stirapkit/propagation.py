@@ -20,6 +20,12 @@ The block is a fixed buffer, so memory does not grow with the run's length.
 That took perfbench's ``reproduce`` wall_rel from 59.9 to 54.7 ref (medians
 of 10 alternating pairs, same host and versions).
 
+The stages allocate nothing: each of the 11 main and 3 dense-output stages
+forms its input state in its own row of one buffer made once per call, and
+the error scale goes into another, with the same operations in the same
+order.  That took ``reproduce`` wall_rel from 54.6 to 51.6 ref (medians of
+10 alternating pairs, same host and versions).
+
 The right-hand side reuses the factorization of the Hamiltonian into two
 constant Hermitian blocks times scalar Gaussian envelopes: the field set's
 coupling stack, premultiplied by -i, is laid out once per run as one matrix,
@@ -203,15 +209,17 @@ def _make_rhs(fields: FieldSet):
     # -1j times the (2, dim, dim) stack as (dim, 2, dim), viewed as one
     # (2*dim, dim) matrix: row pair (2i, 2i+1) holds row i of both blocks
     blocks = (-1j * stack).swapaxes(0, 1).reshape(2 * dim, dim)
-    # complex, so that the contraction casts nothing
+    # complex, so that the contraction casts nothing; the pair is written
+    # through the float view, and the imaginary parts stay +0.0
     envelopes = np.zeros(2, dtype=complex)
+    envelopes_re = envelopes.real
     # the matvec's output buffer, and its (dim, 2) view of row pairs
     products = np.empty(2 * dim, dtype=complex)
     pairs = products.reshape(dim, 2)
     width = fields.width
 
     def rhs(t, psi):
-        envelopes[0], envelopes[1] = envelope_pair(t, width)
+        envelopes_re[0], envelopes_re[1] = envelope_pair(t, width)
         blocks.dot(psi, out=products)
         # a fresh array: the step loop keeps f from one step to the next
         return pairs.dot(envelopes)
@@ -366,6 +374,7 @@ class _DenseBlock:
         self.first = self.end
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
               t_eval):
     """DOP853 from ``t_span[0]`` forward to ``t_span[1]``, sampled at ``t_eval``.
@@ -388,13 +397,23 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     ``8 * _DENSE_BLOCK`` state-sized rows however long the run is, and a
     pass's temporaries are the size of its own samples' rows.
 
+    The stages allocate nothing: each stage's input state is formed in its
+    own row of one buffer made once per call, and the error scale in
+    another.  ``y0`` is only read, so it may be read-only, and no buffer
+    outlives the call.  Overflow and invalid-value warnings are
+    off inside the loop: a trial step that overflows has an infinite or NaN
+    error norm, which the step control rejects, and ``propagate`` fails a
+    non-finite state.
+
     This is the seam that the benchmark's tracer and the tests replace.
     ``fun(t, y)`` is called once per right-hand-side evaluation and must
-    return a complex array shaped like ``y0``; ``t_eval`` must increase
-    strictly and lie within ``t_span``, or ValueError is raised with scipy's
-    message; ``method`` must be ``"DOP853"``.  The result has ``success``, ``message``, ``y`` shaped
-    ``(len(y0), len(t_eval))`` (only the samples reached, when the run
-    failed) and ``nfev``.
+    return a fresh complex array shaped like ``y0``.  ``y`` may be a row of
+    a buffer that the loop writes again on a later stage, so ``fun`` must
+    neither keep it nor modify it.  ``t_eval`` must increase strictly and
+    lie within ``t_span``, or ValueError is raised with scipy's message;
+    ``method`` must be ``"DOP853"``.  The result has ``success``,
+    ``message``, ``y`` shaped ``(len(y0), len(t_eval))`` (only the samples
+    reached, when the run failed) and ``nfev``; ``y`` is a fresh array.
     """
     if method != "DOP853":
         raise ValueError(f"only DOP853 is implemented, not {method!r}")
@@ -419,11 +438,21 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     K_ext = np.empty((len(tab.stages) + 2 + len(tab.extra), n), dtype=complex)
     K = K_ext[:len(tab.stages) + 2]
     K_T, K_b = K.T, K[:-1].T
-    stages = [(K[:a.size].T, a, c) for a, c in tab.stages]
-    extra = [(K_ext[:a.size].T, a, c) for a, c in tab.extra]
-    # the error estimates' buffer and its float views
+    K_first, K_last = K[0], K[-1]
+    # one input row per stage, rows 0..10 for the main stages and 11..13
+    # for the dense-output ones; fun reads a row before the next step
+    # writes it again
+    inputs = np.empty((len(tab.stages) + len(tab.extra), n), dtype=complex)
+    # per stage: the K rows its sum reads, its weights and node, the K row
+    # it fills and its input row
+    stages = [(K[:a.size].T, a, c, K[a.size], y_s)
+              for (a, c), y_s in zip(tab.stages, inputs)]
+    extra = [(K_ext[:a.size].T, a, c, K_ext[a.size], y_s)
+             for (a, c), y_s in zip(tab.extra, inputs[len(tab.stages):])]
+    # the error estimates' buffer and its float views, and the error scale
     err = np.empty(n, dtype=complex)
     err_re, err_im = err.real, err.imag
+    scale = np.empty(n)
     # the step as a 0-d complex array: the cheapest scalar operand for numpy,
     # and the very value h + 0j that numpy multiplies by for a float h
     h_array = np.zeros((), dtype=complex)
@@ -452,21 +481,21 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
             h_abs = abs(h)
             h_array[()] = h
 
-            K[0] = f
-            for s, (K_s, a, c) in enumerate(stages, start=1):
-                y_s = K_s.dot(a)
+            K_first[...] = f
+            for K_s, a, c, K_row, y_s in stages:
+                K_s.dot(a, out=y_s)
                 y_s *= h_array
                 y_s += y
-                K[s] = fun(t + c * h, y_s)
+                K_row[...] = fun(t + c * h, y_s)
             y_new = K_b.dot(tab.b)
             y_new *= h_array
             y_new += y
             f_new = fun(t + h, y_new)
-            K[-1] = f_new
+            K_last[...] = f_new
             nfev += len(stages) + 1
 
             abs_y_new = np.abs(y_new)
-            scale = np.maximum(abs_y, abs_y_new)
+            np.maximum(abs_y, abs_y_new, out=scale)
             scale *= rtol
             scale += atol
             K_T.dot(tab.e5, out=err)
@@ -503,17 +532,17 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
 
         # dense output over the step: three more stages, then its Horner
         # coefficients, recorded for the block's evaluation
-        for K_s, a, c in extra:
-            y_s = K_s.dot(a)
+        for K_s, a, c, K_row, y_s in extra:
+            K_s.dot(a, out=y_s)
             y_s *= h_array
             y_s += y_old
-            K_ext[a.size] = fun(t_old + c * h, y_s)
+            K_row[...] = fun(t_old + c * h, y_s)
         nfev += len(extra)
         F = block.record(t_old, h, y_old, i_end - i_sample)
         delta_y = y - y_old
         F[0] = delta_y
-        F[1] = h * K_ext[0] - delta_y
-        F[2] = 2 * delta_y - h * (f + K_ext[0])
+        F[1] = h * K_first - delta_y
+        F[2] = 2 * delta_y - h * (f + K_first)
         F[3:] = h * tab.d.dot(K_ext)
         i_sample = i_end
     block.flush()

@@ -159,6 +159,22 @@ class TestOverflowingWidth:
         assert "Warning" not in result.output
 
 
+def test_huge_width_numerical_failure_prints_no_warning(runner, tmp_path):
+    # a finite sample grid, but trial steps that overflow: exit 4 with the
+    # integrator's message and nothing from numpy
+    raw = mini_dict(fields={"peak_rabi_pump": [60.0],
+                            "peak_rabi_stokes": [[60.0]], "width": 1e300})
+    ref = write_scenario(tmp_path, raw)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, ["run", ref])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 4, result.output
+    assert "Required step size" in result.output
+    assert "RuntimeWarning" not in result.output
+    assert not caught, [str(warning.message) for warning in caught]
+
+
 class TestRun:
     def test_mini_run_ok(self, runner, tmp_path):
         ref = write_scenario(tmp_path, mini_dict())

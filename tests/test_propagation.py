@@ -329,18 +329,24 @@ class TestDop853Oracle:
     """
 
     @staticmethod
-    def both(system, fields, rtol=1e-10, max_step=0.25, n_samples=901):
+    def both(system, fields, rtol=1e-10, max_step=0.25, n_samples=901,
+             wrap=None):
+        """Both loops' results; ``wrap``, if given, wraps each side's RHS."""
         from scipy.integrate import solve_ivp as scipy_solve_ivp
         width = fields.width
         times = width * np.linspace(-4.0, 5.0, n_samples)
         psi0 = ground_state(system).components
         options = dict(method="DOP853", rtol=rtol, atol=rtol,
                        max_step=max_step * width, t_eval=times)
+
+        def rhs():
+            fun = stirapkit.propagation._make_rhs(fields)
+            return fun if wrap is None else wrap(fun)
+
         ours = stirapkit.propagation.solve_ivp(
-            stirapkit.propagation._make_rhs(fields), (times[0], times[-1]),
-            psi0, **options)
-        theirs = scipy_solve_ivp(stirapkit.propagation._make_rhs(fields),
-                                 (times[0], times[-1]), psi0, **options)
+            rhs(), (times[0], times[-1]), psi0, **options)
+        theirs = scipy_solve_ivp(rhs(), (times[0], times[-1]), psi0,
+                                 **options)
         return ours, theirs
 
     def assert_same(self, ours, theirs):
@@ -355,12 +361,46 @@ class TestDop853Oracle:
         self.assert_same(ours, theirs)
         assert ours.nfev == 17_471
 
+    @pytest.mark.parametrize("case, nfev", [
+        ("fig3", 17_060), ("fig4", 16_094), ("fig5", 16_502)])
+    def test_figures(self, case, nfev):
+        # overridden and zeroed couplings (fig3, fig4) and pruned pumps
+        # (fig4, fig5); each scenario runs the default window and
+        # tolerances, so the counts are those of ``reproduce``
+        system, fields = named_system_and_fields(case)
+        ours, theirs = self.both(system, fields)
+        self.assert_same(ours, theirs)
+        assert ours.nfev == nfev
+
     @pytest.mark.parametrize("seed", [3, 5, 8])
     def test_random_designed_systems(self, seed):
         rng = np.random.default_rng(seed)
         system = random_feasible_system(rng, 5, 3)
         fields, _, _ = random_designed_fields(rng, system)
         self.assert_same(*self.both(system, fields))
+
+    @pytest.mark.parametrize("case", ["fig2", "seed3"])
+    def test_stage_inputs_equal_scipys(self, case):
+        # every (t, y) handed to the RHS, copied as it arrives: a stage
+        # input row written before the RHS has read it shows up here
+        calls = []
+
+        def recording(rhs):
+            seen = []
+            calls.append(seen)
+
+            def fun(t, y):
+                seen.append((t, y.copy()))
+                return rhs(t, y)
+            return fun
+
+        system, fields = named_system_and_fields(case)
+        self.assert_same(*self.both(system, fields, wrap=recording))
+        ours, theirs = calls
+        assert len(ours) == len(theirs) > 10_000
+        for (t, y), (t_ref, y_ref) in zip(ours, theirs):
+            assert t == t_ref
+            assert np.array_equal(y, y_ref)
 
     def test_rejected_steps(self):
         # no step cap and a tight tolerance: the controller rejects steps
@@ -482,6 +522,61 @@ class TestSampleTimes:
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValueError, match="1-dimensional"):
             self.solve(stirapkit.propagation.solve_ivp, [[0.0, 1.0]])
+
+
+class TestSolveIvpBuffers:
+    """``solve_ivp`` reuses its buffers only within one call."""
+
+    @staticmethod
+    def solve(case, y0=None):
+        system, fields = named_system_and_fields(case)
+        if y0 is None:
+            y0 = ground_state(system).components
+        times = fields.width * np.linspace(-4.0, 5.0, 901)
+        return stirapkit.propagation.solve_ivp(
+            stirapkit.propagation._make_rhs(fields), (times[0], times[-1]),
+            y0, method="DOP853", rtol=1e-10, atol=1e-10,
+            max_step=0.25 * fields.width, t_eval=times)
+
+    def test_writeable_y0_left_unchanged(self):
+        system, _ = named_system_and_fields("fig2")
+        y0 = ground_state(system).components.copy()
+        assert y0.flags.writeable and y0.dtype == complex
+        kept = y0.copy()
+        self.solve("fig2", y0)
+        assert np.array_equal(y0, kept)
+
+    def test_read_only_y0_accepted(self):
+        system, _ = named_system_and_fields("fig2")
+        y0 = ground_state(system).components
+        assert not y0.flags.writeable
+        sol = self.solve("fig2", y0)
+        assert sol.success
+        assert np.array_equal(sol.y, self.solve("fig2", y0.copy()).y)
+
+    def test_results_of_two_calls_share_nothing(self):
+        # a buffer kept between calls would let the second run overwrite
+        # the first one's samples
+        first = self.solve("fig2")
+        kept = first.y.copy()
+        second = self.solve("fig3")
+        assert first.y.shape == second.y.shape
+        assert np.array_equal(first.y, kept)
+        assert not np.shares_memory(first.y, second.y)
+
+
+@pytest.mark.parametrize("width", [1e100, 1e200, 1e300])
+def test_huge_width_fails_without_warnings(width):
+    # the trial steps overflow to inf and NaN; the step control rejects
+    # them silently, until the step is below the spacing of the floats
+    system = SystemSpec(1, 1, [1], [[1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PropagationError) as got:
+            propagate(system, FieldSet([60], [[60]], width),
+                      ground_state(system))
+    assert str(got.value) == ("integration failed: Required step size is "
+                              "less than spacing between numbers.")
 
 
 def test_step_size_underflow_is_a_propagation_error():
