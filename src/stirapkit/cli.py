@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 declared bound violated (or verification failed),
 3 infeasible design, 4 numerical failure; scenario-file problems, bad flag
-values and anything click cannot parse (an unknown command, option or
-choice) exit 1.  A sweep exits with the worst code among its entries.
+values, anything click cannot parse (an unknown command, option or choice)
+and an output path the operating system refuses exit 1.  A sweep exits with
+the worst code among its entries.
 """
 
 import json
@@ -27,7 +28,8 @@ EXIT_NUMERICAL = 4
 # gives the message prefix and the exit code.
 _FAILURES = ((ScenarioError, "error", EXIT_ERROR),
              (DesignError, "infeasible design", EXIT_INFEASIBLE),
-             (PropagationError, "numerical failure", EXIT_NUMERICAL))
+             (PropagationError, "numerical failure", EXIT_NUMERICAL),
+             (OSError, "error", EXIT_ERROR))
 
 
 class _Commands(click.Group):

@@ -3,28 +3,24 @@
 Integrates ``i dpsi/dt = H(t) psi`` (hbar = 1) on the complex state with
 DOP853, the adaptive eighth-order Runge-Kutta method of Hairer, Norsett and
 Wanner with its seventh-order dense output (Solving ODEs I, II.4-II.6).  The
-step loop is this module's own: it does the floating-point operations of
-``scipy.integrate.solve_ivp(method="DOP853")`` in the same order, so samples
-and RHS counts equal scipy's bit for bit (``TestDop853Oracle`` in
-``tests/test_propagation.py`` pins that), and scipy supplies only the Butcher
-tableau.  Dropping scipy's per-step wrappers and objects took the CPU time
-of fig2-fig5's propagation from 0.89 s to 0.61 s (medians of 20 alternating
-rounds; 2-CPU Xeon, Python 3.11, numpy 2.4.6, scipy 1.17.1).
+step loop and the Butcher tableau are this module's own, and no runtime path
+imports scipy.  The loop does the floating-point operations of
+``scipy.integrate.solve_ivp(method="DOP853")`` in the same order, on the same
+coefficients, so samples and RHS counts equal scipy's bit for bit;
+``TestDop853Oracle`` in ``tests/test_propagation.py`` compares the tableau and
+the results with the installed scipy.
 
 The dense output that gives the samples is recorded per step but evaluated
-per block: a step that holds samples keeps its seventh-order polynomial (its
-start, length, starting state and seven coefficient rows), and one Horner
-pass evaluates the polynomials of up to 128 such steps over all of their
-samples at once.  Each sample still gets scipy's operations in scipy's order.
-The block is a fixed buffer, so memory does not grow with the run's length.
-That took perfbench's ``reproduce`` wall_rel from 59.9 to 54.7 ref (medians
-of 10 alternating pairs, same host and versions).
-
-The stages allocate nothing: each of the 11 main and 3 dense-output stages
-forms its input state in its own row of one buffer made once per call, and
-the error scale goes into another, with the same operations in the same
-order.  That took ``reproduce`` wall_rel from 54.6 to 51.6 ref (medians of
-10 alternating pairs, same host and versions).
+per block: a step that holds samples keeps its seventh-order polynomial, and
+one Horner pass evaluates the polynomials of up to 128 such steps over all of
+their samples at once, with scipy's operations in scipy's order.  The block
+is a fixed buffer, so memory does not grow with the run's length.  The stages
+allocate nothing: each stage forms its input state in its own row of one
+buffer made once per call, so the right-hand side may receive a row that the
+loop writes again later, and must neither keep nor modify it.  The loop runs
+with numpy's overflow and invalid-value warnings off: a trial step that
+overflows has an infinite or NaN error norm, which the step control rejects,
+and ``propagate`` fails a non-finite state.
 
 The right-hand side reuses the factorization of the Hamiltonian into two
 constant Hermitian blocks times scalar Gaussian envelopes: the field set's
@@ -32,8 +28,7 @@ coupling stack, premultiplied by -i, is laid out once per run as one matrix,
 so each evaluation is one matvec with it and one two-term contraction with
 the two envelope values.  Both are ``ndarray.dot`` calls, not ``@``: ``@`` is
 numpy's matmul generalized ufunc, whose dispatch costs about 0.4 us more per
-call than ``dot`` reaching the same BLAS routine, with the same bits.  That
-took one evaluation from 3.6 to 2.0 us at d = 15 (timeit, best of 5).
+call than ``dot`` reaching the same BLAS routine, with the same bits.
 
 Window, stride and step limits are expressed in units of the pulse width;
 peak Rabi amplitudes keep their own reciprocal-time units, so sweeping the
@@ -45,7 +40,6 @@ import dataclasses
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -200,8 +194,7 @@ def _sample_times(config: PropagationConfig, width: float) -> np.ndarray:
 def _make_rhs(fields: FieldSet):
     """``-i H(t) psi``, derived from ``fields.coupling_stack``.
 
-    Each call is two ``ndarray.dot`` calls, about 2.0 us at d = 15, against
-    3.6 us for the same two products written with ``@`` (see the module
+    Each call is two ``ndarray.dot`` calls, not ``@`` (see the module
     docstring); the products, and so the states, are bit for bit the same.
     """
     stack = fields.coupling_stack
@@ -237,43 +230,95 @@ class _Solution:
     nfev: int
 
 
-@dataclass(frozen=True)
-class _Tableau:
-    """DOP853's coefficients, cast to complex once so no product casts them."""
-
-    stages: list        # (row of A, node of C) for stages 1..11
-    b: np.ndarray
-    e3: np.ndarray
-    e5: np.ndarray
-    extra: list         # (row of A, node of C) for the dense-output stages
-    d: np.ndarray
-    error_exponent: float
-
-
-@cache
-def _dop853() -> _Tableau:
-    """The tableau of ``scipy.integrate.DOP853``, read on the first integration.
-
-    Importing scipy costs about half a second, so design, verification and
-    null-space work, which never integrate, do not load it.  Only the class's
-    public coefficient attributes are read; no table is copied.
-    """
-    from scipy.integrate import DOP853 as method
-
-    def row(a, s):
-        return a[:s].astype(complex)
-
-    n = method.n_stages
-    return _Tableau(
-        stages=[(row(method.A[s], s), float(method.C[s])) for s in range(1, n)],
-        b=method.B.astype(complex),
-        e3=method.E3.astype(complex),
-        e5=method.E5.astype(complex),
-        extra=[(row(a, s), float(c)) for s, (a, c) in enumerate(
-            zip(method.A_EXTRA, method.C_EXTRA), start=n + 1)],
-        d=method.D.astype(complex),
-        error_exponent=-1 / (method.error_estimator_order + 1))
-
+# DOP853's Butcher tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.5-II.6), as scipy.integrate.DOP853 holds it.  Each entry is the repr()
+# of scipy's double, so it parses to the same bits;
+# TestDop853Oracle.test_tableau_equals_scipys compares them.  For stage
+# s = 1..11, A[s - 1] weights stages 0..s-1, zeros included, and C[s - 1] is
+# its node.  B weights stages 0..11 into the new state; E5 and E3 weight
+# those and f at the new state into the two error estimates.  The dense
+# output adds stages 13..15 (A_EXTRA, C_EXTRA), and D weights all 16 stages
+# into its four highest coefficients.  The weights are complex, so that no
+# product casts them; the nodes are floats.
+A = [np.array(row, dtype=complex) for row in (
+    [0.05260015195876773],
+    [0.0197250569845379, 0.0591751709536137],
+    [0.02958758547680685, 0.0, 0.08876275643042054],
+    [0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792],
+    [0.037037037037037035, 0.0, 0.0, 0.17082860872947386,
+     0.12546768756682242],
+    [0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125],
+    [0.03709200011850479, 0.0, 0.0, 0.17038392571223998,
+     0.10726203044637328, -0.015319437748624402, 0.008273789163814023],
+    [0.6241109587160757, 0.0, 0.0, -3.3608926294469414,
+     -0.868219346841726, 27.59209969944671, 20.154067550477894,
+     -43.48988418106996],
+    [0.47766253643826434, 0.0, 0.0, -2.4881146199716677,
+     -0.590290826836843, 21.230051448181193, 15.279233632882423,
+     -33.28821096898486, -0.020331201708508627],
+    [-0.9371424300859873, 0.0, 0.0, 5.186372428844064,
+     1.0914373489967295, -8.149787010746927, -18.52006565999696,
+     22.739487099350505, 2.4936055526796523, -3.0467644718982196],
+    [2.273310147516538, 0.0, 0.0, -10.53449546673725,
+     -2.0008720582248625, -17.9589318631188, 27.94888452941996,
+     -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636],
+)]
+C = (0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+     0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+     0.6512820512820513, 0.6, 0.8571428571428571, 1.0)
+B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259,
+], dtype=complex)
+E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0,
+], dtype=complex)
+E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0,
+], dtype=complex)
+A_EXTRA = [np.array(row, dtype=complex) for row in (
+    [0.056167502283047954, 0.0, 0.0, 0.0, 0.0, 0.0, 0.25350021021662483,
+     -0.2462390374708025, -0.12419142326381637, 0.15329179827876568,
+     0.00820105229563469, 0.007567897660545699, -0.008298],
+    [0.03183464816350214, 0.0, 0.0, 0.0, 0.0, 0.028300909672366776,
+     0.053541988307438566, -0.05492374857139099, 0.0, 0.0,
+     -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325],
+    [-0.42889630158379194, 0.0, 0.0, 0.0, 0.0, -4.697621415361164,
+     7.683421196062599, 4.06898981839711, 0.3567271874552811, 0.0, 0.0,
+     0.0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987],
+)]
+C_EXTRA = (0.1, 0.2, 0.7777777777777778)
+D = np.array([
+    [-8.428938276109013, 0.0, 0.0, 0.0, 0.0, 0.5667149535193777,
+     -3.0689499459498917, 2.38466765651207, 2.117034582445028,
+     -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356,
+     -4.436036387594894],
+    [10.427508642579134, 0.0, 0.0, 0.0, 0.0, 242.28349177525817,
+     165.20045171727028, -374.5467547226902, -22.113666853125306,
+     7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448,
+     35.81684148639408],
+    [19.985053242002433, 0.0, 0.0, 0.0, 0.0, -387.0373087493518,
+     -189.17813819516758, 527.8081592054236, -11.57390253995963,
+     6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716,
+     11.99229113618279],
+    [-25.69393346270375, 0.0, 0.0, 0.0, 0.0, -154.18974869023643,
+     -231.5293791760455, 357.6391179106141, 93.40532418362432,
+     -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544,
+     -149.72683625798564],
+], dtype=complex)
+ERROR_EXPONENT = -1 / 8  # -1 / (error estimator order 7 + 1)
 
 # Step-size control (Hairer, Norsett & Wanner, Solving ODEs I, II.4): the
 # safety factor and the bounds on one change of the step, as scipy sets them.
@@ -428,27 +473,26 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
         raise ValueError("Values in `t_eval` are not within `t_span`.")
     if not (np.diff(samples) > 0).all():
         raise ValueError("Values in `t_eval` are not properly sorted.")
-    tab = _dop853()
     rtol, atol = float(rtol), float(atol)
     y = np.asarray(y0, dtype=complex)
     n = y.size
     sample_times = samples.tolist()
     out = np.empty((len(sample_times), n), dtype=complex)
     # rows 0..12 hold the stages of one step, rows 13..15 the dense-output ones
-    K_ext = np.empty((len(tab.stages) + 2 + len(tab.extra), n), dtype=complex)
-    K = K_ext[:len(tab.stages) + 2]
+    K_ext = np.empty((len(A) + 2 + len(A_EXTRA), n), dtype=complex)
+    K = K_ext[:len(A) + 2]
     K_T, K_b = K.T, K[:-1].T
     K_first, K_last = K[0], K[-1]
     # one input row per stage, rows 0..10 for the main stages and 11..13
     # for the dense-output ones; fun reads a row before the next step
     # writes it again
-    inputs = np.empty((len(tab.stages) + len(tab.extra), n), dtype=complex)
+    inputs = np.empty((len(A) + len(A_EXTRA), n), dtype=complex)
     # per stage: the K rows its sum reads, its weights and node, the K row
     # it fills and its input row
     stages = [(K[:a.size].T, a, c, K[a.size], y_s)
-              for (a, c), y_s in zip(tab.stages, inputs)]
+              for a, c, y_s in zip(A, C, inputs)]
     extra = [(K_ext[:a.size].T, a, c, K_ext[a.size], y_s)
-             for (a, c), y_s in zip(tab.extra, inputs[len(tab.stages):])]
+             for a, c, y_s in zip(A_EXTRA, C_EXTRA, inputs[len(A):])]
     # the error estimates' buffer and its float views, and the error scale
     err = np.empty(n, dtype=complex)
     err_re, err_im = err.real, err.imag
@@ -458,7 +502,7 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     h_array = np.zeros((), dtype=complex)
 
     # sampled steps whose dense output is not evaluated yet
-    block = _DenseBlock(out, samples, 3 + len(tab.d))
+    block = _DenseBlock(out, samples, 3 + len(D))
 
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
@@ -487,7 +531,7 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
                 y_s *= h_array
                 y_s += y
                 K_row[...] = fun(t + c * h, y_s)
-            y_new = K_b.dot(tab.b)
+            y_new = K_b.dot(B)
             y_new *= h_array
             y_new += y
             f_new = fun(t + h, y_new)
@@ -498,10 +542,10 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
             np.maximum(abs_y, abs_y_new, out=scale)
             scale *= rtol
             scale += atol
-            K_T.dot(tab.e5, out=err)
+            K_T.dot(E5, out=err)
             err /= scale
             err5 = _squared_norm(err_re, err_im)
-            K_T.dot(tab.e3, out=err)
+            K_T.dot(E3, out=err)
             err /= scale
             err3 = _squared_norm(err_re, err_im)
             if err5 == 0 and err3 == 0:
@@ -514,12 +558,12 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
                     factor = MAX_FACTOR
                 else:
                     factor = min(MAX_FACTOR,
-                                 SAFETY * error_norm ** tab.error_exponent)
+                                 SAFETY * error_norm ** ERROR_EXPONENT)
                 if rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** tab.error_exponent)
+            h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** ERROR_EXPONENT)
             rejected = True
 
         t_old, y_old = t, y
@@ -543,7 +587,7 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
         F[0] = delta_y
         F[1] = h * K_first - delta_y
         F[2] = 2 * delta_y - h * (f + K_first)
-        F[3:] = h * tab.d.dot(K_ext)
+        F[3:] = h * D.dot(K_ext)
         i_sample = i_end
     block.flush()
     return _Solution(True, FINISHED, out.T, nfev)

@@ -614,9 +614,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
 def _write_sweep_csv(entries: list[SweepEntry], out_dir) -> None:
     """One row per sweep entry; a failed entry leaves its numbers empty."""
     import csv  # only sweeps with an output directory need it
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "sweep.csv", "w", newline="") as handle:
+    with open(Path(out_dir) / "sweep.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["value", "max_p_x", "max_p_y", "final_p_f",
                          "one_minus_p_f", "status"])
@@ -639,9 +637,13 @@ def run(scenario: Scenario, out_dir=None) -> tuple[RunRecord, Trajectory]:
     :class:`~stirapkit.design.DesignError`); direct fields are checked against
     the phase-matching condition and the verdict recorded either way.  When
     ``out_dir`` is given, writes ``<label>.csv`` (time series) and
-    ``<label>.json`` (summary record) into it.
+    ``<label>.json`` (summary record) into it; the directory is created
+    first, so a path the OS refuses raises OSError before any work.
     """
     started = datetime.now(timezone.utc).isoformat()
+    if out_dir is not None:
+        out = Path(out_dir)
+        out.mkdir(parents=True, exist_ok=True)
     # design_fields raises DesignError unless the design is feasible
     fields = scenario.resolve_fields()
     verdict = verify_design(scenario.system, fields, scenario.target)
@@ -674,8 +676,6 @@ def run(scenario: Scenario, out_dir=None) -> tuple[RunRecord, Trajectory]:
         finished_at=datetime.now(timezone.utc).isoformat(),
     )
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_trajectory_csv(traj, out / f"{_slug(scenario.label)}.csv")
         (out / f"{_slug(scenario.label)}.json").write_text(
             json.dumps(record.to_dict(), indent=2) + "\n")
@@ -747,7 +747,8 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
     input order.  When ``out_dir`` is given, each run writes its files there
     and ``sweep.csv`` tabulates all entries.  Fewer than one job, and values
     whose run labels coincide (labels print values with ``:g``), are
-    rejected before any run.
+    rejected before any run, and so is an ``out_dir`` that cannot be created
+    (OSError).
     """
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
@@ -769,6 +770,8 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
         jobs = os.cpu_count() or 1
     elif jobs < 1:
         raise ScenarioError(f"sweep needs at least one job, got {jobs}")
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     # a fork-based pool starts all its workers on the first submit
     jobs = min(jobs, len(tasks))
     if jobs <= 1:

@@ -289,6 +289,49 @@ class TestWindowPastEnvelopeRange:
         self.assert_one_error_line(runner.invoke(main, ["run", ref]))
 
 
+class TestOutputPathRefused:
+    """An output path the OS refuses is one ``error:`` line and exit 1.
+
+    ``run``, ``reproduce`` and ``sweep`` create their directory before they
+    integrate, so the integrator is patched to fail if it is reached.
+    """
+
+    def assert_one_error_line(self, result, reason):
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        assert result.output.startswith("error: ")
+        assert reason in result.output
+        assert len(result.output.splitlines()) == 1
+
+    @pytest.fixture
+    def a_file(self, tmp_path):
+        path = tmp_path / "a-file"
+        path.write_text("")
+        return path
+
+    def test_design_into_missing_directory(self, runner, tmp_path):
+        out = tmp_path / "missing" / "x.json"
+        self.assert_one_error_line(runner.invoke(
+            main, ["design", "fig2", "--out", str(out)]),
+            "No such file or directory")
+
+    @pytest.mark.parametrize("command", ["run", "reproduce"])
+    def test_run_under_a_file(self, runner, a_file, monkeypatch, command):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                            unreachable_solve_ivp)
+        self.assert_one_error_line(runner.invoke(
+            main, [command, "fig2", "--out", str(a_file / "sub")]),
+            "Not a directory")
+
+    def test_sweep_under_a_file(self, runner, a_file, monkeypatch):
+        monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                            unreachable_solve_ivp)
+        self.assert_one_error_line(runner.invoke(main, [
+            "sweep", "fig2", "--axis", "width", "--values", "1,2",
+            "--jobs", "1", "--out", str(a_file / "sub")]),
+            "Not a directory")
+
+
 @pytest.mark.parametrize("args", [
     ["run", "fig2", "--rel-tol", "abc"],
     ["sweep", "fig2", "--axis", "bogus", "--values", "1"],

@@ -1,11 +1,15 @@
 """Import graph and public surface.
 
-Importing scipy costs about half a second, most of a fresh process's start-up.
-Design, verification and null-space work never integrate, so they must run
-without it; a test guards that in a fresh interpreter.  Every exported name
-must resolve, and names deleted from the public surface must stay gone.
+No scipy at runtime: the package carries DOP853's tableau itself, so design,
+verification, null-space work and integration load no scipy module, and the
+commands run with scipy blocked.  A fresh ``stirapkit reproduce fig2``
+process takes 0.47 s without scipy, against 1.02 s when it imported
+``scipy.integrate`` (medians of 12 pairs, ``BENCH_22.json``).  Fresh
+interpreters guard both.  Every exported name must resolve, and names deleted
+from the public surface must stay gone.
 """
 
+import hashlib
 import importlib
 import json
 import os
@@ -87,30 +91,64 @@ print(json.dumps(loaded))
 """
 
 
-def test_scipy_loads_only_to_integrate(tmp_path):
-    path = tmp_path / "design.json"
-    path.write_text(json.dumps(DESIGN_SCENARIO))
+def child_env():
+    """The environment of a child interpreter that imports this package."""
     src = str(Path(stirapkit.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_no_scipy_at_runtime(tmp_path):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(DESIGN_SCENARIO))
     proc = subprocess.run([sys.executable, "-c", CHILD, str(path)],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
     loaded = json.loads(proc.stdout.splitlines()[-1])
     assert loaded["import"] == []
     assert loaded["design"] == []
-    assert "scipy.integrate" in loaded["propagate"]
+    assert loaded["propagate"] == []
+
+
+# Runs the commands in-process with every scipy import made to fail.
+BLOCKED_CHILD = """
+import json, sys
+sys.modules["scipy"] = None
+from stirapkit.cli import main
+
+codes = []
+for args in (["reproduce", "fig2", "--out", sys.argv[1]],
+             ["sweep", "fig2", "--axis", "amplitude-scale", "--values", "1,2",
+              "--jobs", "1"]):
+    try:
+        main(args)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps(codes))
+"""
+
+# SHA-256 of ``reproduce fig2``'s trajectory CSV
+FIG2_CSV_SHA256 = ("35fc12e456a45e57e3c5c9ddd2c05f571b473938357c51198ef878b9"
+                   "2bf37197")
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", BLOCKED_CHILD, str(tmp_path)],
+                          capture_output=True, text=True, env=child_env(),
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0, 0]
+    (csv,) = tmp_path.glob("*.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == FIG2_CSV_SHA256
 
 
 def test_cli_import_leaves_csv_unloaded():
     # only a sweep that writes its table needs csv, and it imports it then
-    src = str(Path(stirapkit.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [env.get("PYTHONPATH")] if p])
     code = "import sys, stirapkit, stirapkit.cli; print('csv' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

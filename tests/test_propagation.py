@@ -355,6 +355,39 @@ class TestDop853Oracle:
         assert np.array_equal(ours.y, theirs.y)
         assert ours.nfev == theirs.nfev
 
+    def test_tableau_equals_scipys(self):
+        # every literal parses to scipy's double; the dropped tail of each
+        # row of A and A_EXTRA is zero in scipy's table
+        from scipy.integrate import DOP853
+        prop = stirapkit.propagation
+
+        def same(ours, theirs):
+            ours = np.asarray(ours)
+            assert not np.imag(ours).any()
+            assert np.array_equal(np.real(ours), theirs)
+
+        n = DOP853.n_stages
+        assert len(prop.A) == len(prop.C) == n - 1
+        for s, row in enumerate(prop.A, start=1):
+            assert row.dtype == complex
+            same(row, DOP853.A[s, :s])
+            assert not DOP853.A[s, s:].any()
+        assert not DOP853.A[0].any() and DOP853.C[0] == 0
+        assert all(type(c) is float for c in prop.C + prop.C_EXTRA)
+        same(prop.C, DOP853.C[1:])
+        for ours, theirs in [(prop.B, DOP853.B), (prop.E3, DOP853.E3),
+                             (prop.E5, DOP853.E5), (prop.D, DOP853.D)]:
+            assert ours.dtype == complex
+            same(ours, theirs)
+        assert len(prop.A_EXTRA) == len(DOP853.A_EXTRA)
+        for s, (row, theirs) in enumerate(zip(prop.A_EXTRA, DOP853.A_EXTRA),
+                                          start=n + 1):
+            assert row.dtype == complex
+            same(row, theirs[:s])
+            assert not theirs[s:].any()
+        same(prop.C_EXTRA, DOP853.C_EXTRA)
+        assert prop.ERROR_EXPONENT == -1 / (DOP853.error_estimator_order + 1)
+
     def test_fig2(self):
         scenario = builtin_scenario("fig2")
         ours, theirs = self.both(scenario.system, scenario.fields)
