@@ -62,12 +62,10 @@ class _Commands(click.Group):
 def _entry_exit_code(entry: SweepEntry) -> int:
     if entry.record is not None:
         return EXIT_OK if entry.record.bounds_ok else EXIT_BOUNDS
-    # a failed entry's status reads "<exception class>: <message>"; plain
-    # ValueErrors and RuntimeErrors, which the sweep also records, count as
-    # numerical failures
+    # plain ValueErrors and RuntimeErrors, which the sweep also records,
+    # count as numerical failures
     return next((code for cls, _, code in _FAILURES
-                 if entry.status.startswith(f"{cls.__name__}:")),
-                EXIT_NUMERICAL)
+                 if issubclass(entry.error_type, cls)), EXIT_NUMERICAL)
 
 
 def _echo_record(record: RunRecord) -> None:

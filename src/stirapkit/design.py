@@ -24,11 +24,13 @@ __all__ = [
     "check_feasibility",
     "design_fields",
     "matched_pump_rabi",
+    "numerical_rank",
     "verify_design",
 ]
 
-# |det| below this fraction of the Hadamard bound (product of row norms)
-# counts as singular; scale free by construction.
+# Singular values at or below this fraction of the largest one count as zero
+# (numerical_rank); the rule reads no determinant, so neither the size nor
+# the units of a matrix move it.
 SINGULAR_REL_TOL = 1e-12
 
 # Effective couplings below this fraction of the largest one are treated as
@@ -90,7 +92,13 @@ class TargetSpec:
 
 @dataclass(frozen=True)
 class DesignReport:
-    """Feasibility verdict and the quantities the verdict rests on."""
+    """Feasibility verdict, the rows it selected and diagnostics.
+
+    The verdict comes from the singular values of the selected Stokes block
+    (:func:`numerical_rank`).  ``det_check``, the determinant of that block,
+    is reported only: no verdict reads it, and it may read ±inf or NaN where
+    the determinant overflows the floating-point range.
+    """
 
     feasible: bool
     eta: complex
@@ -121,6 +129,19 @@ def effective_dipoles(system: SystemSpec, target: TargetSpec) -> np.ndarray:
     """
     target = TargetSpec.resolve(target, system.n_degenerate)
     return system.mu_stokes @ target.coefficients
+
+
+def numerical_rank(matrix) -> int:
+    """Number of singular values above ``SINGULAR_REL_TOL`` times the largest.
+
+    The one rank rule of the package (numerical rank, Golub & Van Loan,
+    *Matrix Computations*).  A matrix whose singular values are not all
+    finite has rank 0.
+    """
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    if not np.isfinite(singular).all():
+        return 0
+    return int((singular > SINGULAR_REL_TOL * singular[0]).sum())
 
 
 def _pruned_indices(effective: np.ndarray) -> frozenset[int]:
@@ -161,8 +182,11 @@ def check_feasibility(system: SystemSpec, target: TargetSpec,
     one and some square sub-block of the Stokes dipole matrix (restricted to
     as many intermediate rows as there are degenerate states) is nonsingular.
     The sub-block is picked by greedy column-pivoted QR, which finds a
-    nonsingular one whenever the matrix has full column rank.  Infeasibility
-    is reported, never raised.
+    nonsingular one whenever the matrix has full column rank, and judged by
+    its singular values (:func:`numerical_rank`), so the verdict does not
+    depend on the size or the units of the dipoles.  Its determinant is
+    reported as ``det_check``, a diagnostic that may overflow to ±inf or NaN.
+    Infeasibility is reported, never raised.
     """
     n, m = system.n_intermediate, system.n_degenerate
     effective = effective_dipoles(system, target)
@@ -178,9 +202,9 @@ def check_feasibility(system: SystemSpec, target: TargetSpec,
 
     rows = _pivot_rows(system.mu_stokes, m)
     block = system.mu_stokes[list(rows), :]
-    det = complex(np.linalg.det(block))
-    hadamard = float(np.prod(np.linalg.norm(block, axis=1)))
-    singular = hadamard == 0.0 or abs(det) < SINGULAR_REL_TOL * hadamard
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = complex(np.linalg.det(block))
+    singular = numerical_rank(block) < m
     if singular:
         # the last pivots fell among roundoff-level residuals: no block to name
         rows = ()

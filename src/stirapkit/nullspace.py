@@ -10,8 +10,9 @@ the peak nonadiabatic coupling between two tracks on a refined grid
 (:func:`converged_max_coupling`).  Every vector it hands out is a
 :class:`NullVector`, a :class:`~stirapkit.model.StateVector` with a label.
 :func:`cofactor_matrix` gives the signed minors of the cofactor identity; the
-N = M condition ``det S != 0`` on the Stokes block is
-:attr:`~stirapkit.design.DesignReport.det_check`.
+N = M condition ``det S != 0`` on the Stokes block is decided by
+:func:`~stirapkit.design.numerical_rank`, and
+:attr:`~stirapkit.design.DesignReport.det_check` reports det S itself.
 """
 
 import enum
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import DesignError, TargetSpec, verify_design
+from .design import DesignError, TargetSpec, numerical_rank, verify_design
 from .model import FieldSet, StateVector, SystemSpec, log_envelope_ratio
 
 __all__ = [
@@ -220,8 +221,8 @@ def analytic_lambda1(system: SystemSpec, fields: FieldSet, t: float,
         raise DesignError(
             "fields do not satisfy the pump/Stokes phase-matching condition "
             f"(residual {result.residual:.3e})")
-    singular = np.linalg.svd(fields.peak_rabi_stokes, compute_uv=False)
-    if singular[-1] <= 1e-12 * singular[0]:
+    block = fields.peak_rabi_stokes
+    if numerical_rank(block) < min(block.shape):
         raise DesignError("Stokes coupling block is rank deficient")
 
     eta = result.eta
@@ -528,11 +529,10 @@ def analytic_pair_tracks(system: SystemSpec, fields: FieldSet, grid,
     physical basis labels, so the coupling between the pair retains the
     finite value responsible for leakage inside the manifold.
     """
-    _, singular, vh = np.linalg.svd(fields.peak_rabi_stokes)
-    rank = int((singular > 1e-12 * singular[0]).sum())
+    rank = numerical_rank(fields.peak_rabi_stokes)
     if rank == fields.n_degenerate:
         raise ValueError("Stokes block has no right null direction")
-    y = vh[rank].conj()
+    y = np.linalg.svd(fields.peak_rabi_stokes)[2][rank].conj()
 
     base = np.zeros(system.dim, dtype=complex)
     base[1 + system.n_intermediate:] = y / np.linalg.norm(y)

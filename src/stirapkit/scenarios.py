@@ -324,9 +324,16 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class SweepEntry:
+    """One sweep value: its run record, or the error that stopped the run.
+
+    ``error`` reads ``"<exception class>: <message>"`` and ``error_type`` is
+    that class.
+    """
+
     value: float
     record: RunRecord | None
     error: str | None = None
+    error_type: type[Exception] | None = None
 
     @property
     def status(self) -> str:
@@ -730,9 +737,12 @@ def _sweep_worker(args) -> SweepEntry:
         derived = _derive_scenario(scenario, axis, value, pump_index)
         record, _ = run(derived, out_dir)
         return SweepEntry(value=value, record=record)
-    except (ValueError, RuntimeError) as exc:  # DesignError, ScenarioError too
+    # DesignError and ScenarioError are ValueErrors; OSError is an output
+    # file the OS refuses
+    except (ValueError, RuntimeError, OSError) as exc:
         return SweepEntry(value=value, record=None,
-                          error=f"{type(exc).__name__}: {exc}")
+                          error=f"{type(exc).__name__}: {exc}",
+                          error_type=type(exc))
 
 
 def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,

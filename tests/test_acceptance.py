@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from stirapkit import (FieldSet, SystemSpec, TargetSpec, analytic_lambda1,
-                       analytic_pair_tracks, builtin_scenario, cofactor_matrix,
+from stirapkit import (FieldSet, PropagationConfig, SystemSpec, TargetSpec,
+                       analytic_lambda1, analytic_pair_tracks,
+                       builtin_scenario, cofactor_matrix,
                        converged_max_coupling, ground_state, hamiltonian,
                        make_null_vector, matched_pump_rabi,
                        numeric_null_space, phase_aligned_distance, propagate,
@@ -197,6 +198,31 @@ def test_excess_degeneracy_leakage_floor():
             f"max P_y over width ladder x(1,2,4)="
             f"{', '.join(f'{l:.3e}' for l in leaks)}, floor={floor:.3e}")
 
+
+def test_large_manifold_transfer():
+    # N = M = 64 random complex dipoles: the method is stated for any N, and
+    # transfer quality does not degrade with size
+    rng = np.random.default_rng(11)
+    system = random_feasible_system(rng, 64, 64)
+    fields, target, _ = random_designed_fields(rng, system)
+    config = PropagationConfig()
+    traj = propagate(system, fields, ground_state(system), config, target)
+    norm_tol = max(1e-9, 10.0 * max(config.rel_tol, config.abs_tol))
+    worst_distance = 0.0
+    for t in (-1.0, 0.5, 2.0):
+        vectors = numeric_null_space(hamiltonian(system, fields, t),
+                                     tol=1e-9 * fields.max_rabi)
+        assert len(vectors) == 1
+        analytic = analytic_lambda1(system, fields, t, target)
+        worst_distance = max(worst_distance, phase_aligned_distance(
+            vectors[0].components, analytic.components))
+    ok = (1.0 - traj.final_p_f < 1e-3 and traj.max_p_x < 5e-3
+          and traj.max_norm_error <= norm_tol and worst_distance < 1e-10)
+    verdict("large manifold transfer (N = M = 64)", ok,
+            f"1 - P_f={1.0 - traj.final_p_f:.2e} (<1e-3), "
+            f"max P_x={traj.max_p_x:.2e} (<5e-3), "
+            f"max norm error={traj.max_norm_error:.2e} (<={norm_tol:.0e}), "
+            f"worst analytic/SVD distance={worst_distance:.2e} (<1e-10)")
 
 def test_phase_sensitivity(fig_runs):
     scenario, baseline, _, _ = fig_runs["fig2"]

@@ -474,6 +474,21 @@ class TestSweep:
         assert result.exit_code == 3
         assert "ScenarioError" in result.output or "DesignError" in result.output
 
+    def test_refused_output_file_is_one_entry(self, runner, tmp_path):
+        # the OS refuses x2's trajectory file; x1 and x3 still run, and the
+        # entry maps through the OSError row to exit 1
+        (tmp_path / "fig2_amp_x2_.csv").mkdir()
+        result = runner.invoke(main, [
+            "sweep", "fig2", "--axis", "amplitude-scale", "--values", "1,2,3",
+            "--jobs", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        statuses = [line.split(",", 5)[-1] for line in
+                    (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+        assert len(statuses) == 3
+        assert statuses[0] == statuses[2] == "ok"
+        assert statuses[1].startswith("IsADirectoryError: ")
+        assert (tmp_path / "fig2_amp_x3_.json").is_file()
+
     @pytest.mark.parametrize("args", [
         ["--axis", "width", "--values=-1"],
         ["--axis", "phase-perturbation", "--values", "1", "--pump-index", "9"],

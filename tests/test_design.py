@@ -1,14 +1,18 @@
 """Field designer: feasibility, construction, verification, pruning."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import stirapkit.design
+import stirapkit.nullspace
 from stirapkit import (DesignError, FieldSet, SystemSpec, TargetSpec,
                        analytic_lambda1, builtin_scenario, check_feasibility,
                        design_fields, effective_dipoles, hamiltonian,
                        matched_pump_rabi, numeric_null_space, verify_design)
+from stirapkit.design import numerical_rank
 
 from helpers import crandn, random_feasible_system, random_target
 
@@ -201,6 +205,104 @@ class TestPivotSelection:
                     system = equal_and_zero_rows(rng, n, m, equal, zero)
                     assert_matches_scipy(monkeypatch, system,
                                          random_target(rng, m))
+
+
+def scaled_system(system, factor):
+    """``system`` with every dipole multiplied by ``factor``."""
+    return SystemSpec(system.n_intermediate, system.n_degenerate,
+                      system.mu_pump * factor, system.mu_stokes * factor)
+
+
+def square_draw(seed, n):
+    rng = np.random.default_rng(seed)
+    return SystemSpec(n, n, crandn(rng, n), crandn(rng, n, n))
+
+
+UNIT_SCALES = (1e-30, 1.0, 1e30)
+
+
+class TestRankRule:
+    """One scale-free rank rule decides every full-rank question."""
+
+    def test_counts_singular_values(self):
+        assert numerical_rank(np.eye(4)) == 4
+        assert numerical_rank(np.zeros((3, 2))) == 0
+        assert numerical_rank([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]) == 1
+        assert numerical_rank(np.diag([1.0, 1e-13])) == 1
+        assert numerical_rank(np.diag([1e-200, 1e-210])) == 2
+
+    def test_non_finite_singular_values_give_rank_zero(self):
+        # finite entries whose largest singular value overflows to inf
+        assert numerical_rank(np.full((2, 2), 1.7e308)) == 0
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_large_square_draws_are_feasible(self, n):
+        # |det| falls below 1e-12 of the Hadamard bound near N = 56 for
+        # well-conditioned blocks, so a determinant rule calls these singular
+        for seed in range(20):
+            report = check_feasibility(square_draw(seed, n),
+                                       TargetSpec.basis(n))
+            assert report.feasible, (n, seed, report.notes)
+            assert report.selected_rows == tuple(range(1, n + 1))
+
+    @pytest.mark.parametrize("case", ["fig2", "draw16", "draw64"])
+    def test_verdict_and_rows_do_not_depend_on_units(self, case):
+        if case == "fig2":
+            scenario = builtin_scenario("fig2")
+            system, target = scenario.system, scenario.target
+        else:
+            n = int(case.removeprefix("draw"))
+            system, target = square_draw(7, n), TargetSpec.basis(n)
+        reports = [check_feasibility(scaled_system(system, factor), target)
+                   for factor in UNIT_SCALES]
+        assert all(r.feasible for r in reports)
+        assert len({r.selected_rows for r in reports}) == 1
+
+    @pytest.mark.parametrize("factor", UNIT_SCALES)
+    def test_repeated_rows_infeasible_at_every_scale(self, factor):
+        mu = np.array([[1.0, 2.0], [1.0, 2.0]]) * factor
+        report = check_feasibility(SystemSpec(2, 2, [factor, factor], mu),
+                                   TargetSpec.basis(2))
+        assert not report.feasible
+        assert report.selected_rows == ()
+
+    def test_overflowing_determinant_is_only_reported(self):
+        # det S of fig2's dipoles x1e45 is past the double range; the
+        # verdict reads singular values, and no warning is raised
+        scenario = builtin_scenario("fig2")
+        system = scaled_system(scenario.system, 1e45)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_feasibility(system, scenario.target)
+        assert report.feasible
+        assert report.selected_rows == tuple(range(1, 8))
+        assert not np.isfinite(report.det_check)
+
+    def test_every_reader_calls_the_one_function(self, monkeypatch):
+        assert stirapkit.nullspace.numerical_rank is numerical_rank
+        scenario = builtin_scenario("fig2")
+        system, fields = scenario.system, scenario.resolve_fields()
+        stokes = 40.0 * np.array([[1.0, 2.0], [1.0, 2.0]])
+        flat = SystemSpec(2, 2, [1.0, 1.0], stokes)
+        flat_fields = FieldSet(matched_pump_rabi(stokes, TargetSpec.basis(2)),
+                               stokes, 1.0)
+        assert check_feasibility(system, scenario.target).feasible
+        assert not check_feasibility(flat, TargetSpec.basis(2)).feasible
+        analytic_lambda1(system, fields, 0.0)
+        with pytest.raises(DesignError, match="rank deficient"):
+            analytic_lambda1(flat, flat_fields, 0.0)
+
+        def patch(rank):
+            for module in (stirapkit.design, stirapkit.nullspace):
+                monkeypatch.setattr(module, "numerical_rank", rank)
+
+        patch(lambda matrix: 0)
+        assert not check_feasibility(system, scenario.target).feasible
+        with pytest.raises(DesignError, match="rank deficient"):
+            analytic_lambda1(system, fields, 0.0)
+        patch(lambda matrix: min(np.shape(matrix)))
+        assert check_feasibility(flat, TargetSpec.basis(2)).feasible
+        analytic_lambda1(flat, flat_fields, 0.0)
 
 
 class TestDesignFields:

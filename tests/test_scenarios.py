@@ -655,6 +655,25 @@ class TestSweep:
         assert "eta" in entries[0].error
         assert entries[1].record is not None
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failure_keeps_its_class(self, jobs):
+        scenario = load_scenario_from(small_scenario_dict())
+        entries = sweep(scenario, "eta", [0.0, 1.0], jobs=jobs)
+        assert entries[0].error_type is DesignError
+        assert entries[0].error.startswith("DesignError: ")
+        assert entries[1].error_type is None
+
+    def test_refused_output_file_is_recorded(self, tmp_path):
+        scenario = load_scenario_from(small_scenario_dict())
+        (tmp_path / "mini_amp_x2_.csv").mkdir()
+        entries = sweep(scenario, "amplitude-scale", [1.0, 2.0, 3.0], jobs=1,
+                        out_dir=tmp_path)
+        assert entries[1].error_type is IsADirectoryError
+        assert [e.record is not None for e in entries] == [True, False, True]
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert len(lines) == 4
+        assert lines[2].split(",")[-1].startswith("IsADirectoryError: ")
+
     def test_sweep_csv_lists_every_status(self, tmp_path):
         raw = small_scenario_dict(bounds={"min_final_p_f": 0.9})
         scenario = load_scenario_from(raw)
