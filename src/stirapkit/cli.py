@@ -7,6 +7,7 @@ and an output path the operating system refuses exit 1.  A sweep exits with
 the worst code among its entries.
 """
 
+import cmath
 import json
 import sys
 
@@ -136,13 +137,15 @@ def design(scenario_ref, out_file):
     def pair(value):
         return [value.real, value.imag]
 
+    # det S may overflow at large dipoles; JSON has no infinity or NaN
+    det = report.det_check
     payload = {
         "label": scenario.label,
         "feasible": report.feasible,
         "eta": pair(report.eta),
         "pruned_pumps": sorted(report.pruned_pumps),
         "selected_rows": list(report.selected_rows),
-        "det_check": pair(report.det_check),
+        "det_check": pair(det) if cmath.isfinite(det) else None,
         "effective_target_dipoles": list(map(pair,
                                              report.effective_target_dipoles)),
         "notes": list(report.notes),

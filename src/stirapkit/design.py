@@ -8,6 +8,7 @@ intermediate state and on the whole degenerate manifold orthogonal to the
 target direction, at all times.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -161,8 +162,17 @@ def _pivot_rows(mu: np.ndarray, count: int) -> tuple[int, ...]:
     in LAPACK's swapped column order, and projects it out of the rest.
     Whenever ``mu`` has full column rank the choice equals
     ``scipy.linalg.qr(mu.T, pivoting=True)``'s first ``count`` pivots.
+
+    ``mu`` is first divided by a power of two just above its largest real
+    or imaginary part, so the squares inside the row norms neither overflow
+    nor underflow at any units of the dipoles.  Division by a power of two
+    is exact, so at ordinary scales every norm and projection, and so the
+    choice, is what it is on ``mu`` itself.
     """
     residual = np.array(mu, dtype=complex)
+    parts = residual.view(float)
+    _, exponent = math.frexp(np.abs(parts).max(initial=0.0))
+    np.ldexp(parts, -exponent, out=parts)
     order = list(range(len(residual)))
     for i in range(count):
         norms = np.linalg.norm(residual[order[i:]], axis=1)

@@ -30,6 +30,15 @@ the two envelope values.  Both are ``ndarray.dot`` calls, not ``@``: ``@`` is
 numpy's matmul generalized ufunc, whose dispatch costs about 0.4 us more per
 call than ``dot`` reaching the same BLAS routine, with the same bits.
 
+``solve_ivp`` takes any callable ``fun(t, y)`` and calls it once per stage.
+The package's own right-hand side, the object ``_make_rhs`` returns, is
+evaluated by its parts instead: once a trial step has its size h, the loop
+knows every stage node t + c*h, so one ``np.exp`` call gives the envelopes
+of all of them (:func:`~stirapkit.model.envelope_pairs`), and each stage
+writes its contraction straight into its row of the stage matrix.  The
+values are those of one call per stage, bit for bit, and so is the RHS
+count.
+
 Window, stride and step limits are expressed in units of the pulse width;
 peak Rabi amplitudes keep their own reciprocal-time units, so sweeping the
 width at fixed amplitudes changes the pulse areas exactly as a longer laser
@@ -44,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import TargetSpec
-from .model import FieldSet, StateVector, SystemSpec, as_float, envelope_pair
+from .model import (FieldSet, StateVector, SystemSpec, as_float,
+                    envelope_pair, envelope_pairs)
 
 __all__ = [
     "PropagationError",
@@ -191,33 +201,51 @@ def _sample_times(config: PropagationConfig, width: float) -> np.ndarray:
     return times
 
 
-def _make_rhs(fields: FieldSet):
-    """``-i H(t) psi``, derived from ``fields.coupling_stack``.
+class _LinearRhs:
+    """``-i H(t) psi``, derived from a field set's ``coupling_stack``.
 
-    Each call is two ``ndarray.dot`` calls, not ``@`` (see the module
-    docstring); the products, and so the states, are bit for bit the same.
+    ``blocks`` is -1j times the (2, d, d) stack as (d, 2, d), viewed as one
+    (2d, d) matrix: row pair (2i, 2i+1) holds row i of both blocks.
+    ``blocks.dot(psi, out=products)`` fills the matvec's buffer, and
+    ``pairs``, its (d, 2) view of row pairs, contracts with a complex
+    envelope pair into the result.  Both are ``ndarray.dot`` calls, not
+    ``@`` (see the module docstring); the products, and so the states, are
+    bit for bit the same.  Calling the object does that for one time and
+    returns a fresh array; :func:`solve_ivp` reads the parts to evaluate a
+    step's stages with their envelopes computed together.
     """
-    stack = fields.coupling_stack
-    dim = stack.shape[-1]
-    # -1j times the (2, dim, dim) stack as (dim, 2, dim), viewed as one
-    # (2*dim, dim) matrix: row pair (2i, 2i+1) holds row i of both blocks
-    blocks = (-1j * stack).swapaxes(0, 1).reshape(2 * dim, dim)
-    # complex, so that the contraction casts nothing; the pair is written
-    # through the float view, and the imaginary parts stay +0.0
-    envelopes = np.zeros(2, dtype=complex)
-    envelopes_re = envelopes.real
-    # the matvec's output buffer, and its (dim, 2) view of row pairs
-    products = np.empty(2 * dim, dtype=complex)
-    pairs = products.reshape(dim, 2)
-    width = fields.width
 
-    def rhs(t, psi):
-        envelopes_re[0], envelopes_re[1] = envelope_pair(t, width)
-        blocks.dot(psi, out=products)
-        # a fresh array: the step loop keeps f from one step to the next
-        return pairs.dot(envelopes)
+    __slots__ = ("blocks", "products", "pairs", "width", "_envelopes",
+                 "_envelopes_re")
 
-    return rhs
+    def __init__(self, fields: FieldSet):
+        stack = fields.coupling_stack
+        dim = stack.shape[-1]
+        self.blocks = (-1j * stack).swapaxes(0, 1).reshape(2 * dim, dim)
+        self.products = np.empty(2 * dim, dtype=complex)
+        self.pairs = self.products.reshape(dim, 2)
+        self.width = fields.width
+        # complex, so that the contraction casts nothing; the pair is
+        # written through the float view, and the imaginary parts stay +0.0
+        self._envelopes = np.zeros(2, dtype=complex)
+        self._envelopes_re = self._envelopes.real
+
+    def __call__(self, t, psi):
+        envelopes_re = self._envelopes_re
+        envelopes_re[0], envelopes_re[1] = envelope_pair(t, self.width)
+        self.blocks.dot(psi, out=self.products)
+        # a fresh array, which the caller may keep
+        return self.pairs.dot(self._envelopes)
+
+
+def _make_rhs(fields: FieldSet) -> _LinearRhs:
+    """``-i H(t) psi`` for ``fields``: a callable ``rhs(t, psi)``.
+
+    :func:`solve_ivp` runs it like any other right-hand side, through its
+    calls, when it is wrapped or handed to scipy; handed to ``solve_ivp``
+    itself, it is evaluated a step's stages at a time (see there).
+    """
+    return _LinearRhs(fields)
 
 
 @dataclass(frozen=True)
@@ -451,10 +479,18 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     non-finite state.
 
     This is the seam that the benchmark's tracer and the tests replace.
-    ``fun(t, y)`` is called once per right-hand-side evaluation and must
-    return a fresh complex array shaped like ``y0``.  ``y`` may be a row of
-    a buffer that the loop writes again on a later stage, so ``fun`` must
-    neither keep it nor modify it.  ``t_eval`` must increase strictly and
+    A plain callable ``fun(t, y)`` is called once per right-hand-side
+    evaluation and must return a complex array shaped like ``y0``, which
+    the loop copies.  ``y`` may be a row of a buffer that the loop writes
+    again on a later stage, so ``fun`` must neither keep it nor modify it.
+    The package's own right-hand side, ``_make_rhs(fields)`` unwrapped, is
+    evaluated in batch: a trial step computes the envelopes of its 11
+    stage nodes in one ``np.exp`` call (``C[-1] == 1``, so the last node is
+    also the new state's time), the dense output those of its 3 nodes, and
+    each stage writes its contraction into its K row.  A rejected step
+    recomputes them for its new size.  Either way the RHS values, ``y``
+    and ``nfev`` are the same bits; wrapping the object, as the tracer
+    does, selects the plain path.  ``t_eval`` must increase strictly and
     lie within ``t_span``, or ValueError is raised with scipy's message;
     ``method`` must be ``"DOP853"``.  The result has ``success``,
     ``message``, ``y`` shaped ``(len(y0), len(t_eval))`` (only the samples
@@ -487,12 +523,26 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     # for the dense-output ones; fun reads a row before the next step
     # writes it again
     inputs = np.empty((len(A) + len(A_EXTRA), n), dtype=complex)
+    # the package's own right-hand side is evaluated here, by its parts:
+    # a step's stage envelopes come from one np.exp call, into one complex
+    # row per stage (rows 0..10 main, 11..13 dense output), and each stage's
+    # contraction writes its K row.  Any other fun is called per stage.
+    linear = fun if isinstance(fun, _LinearRhs) else None
+    if linear is not None:
+        blocks, products, pairs = linear.blocks, linear.products, linear.pairs
+        width = linear.width
+    envelopes = np.zeros((len(A) + len(A_EXTRA), 2), dtype=complex)
+    main_envelopes_re = envelopes[:len(A)].real
+    extra_envelopes_re = envelopes[len(A):].real
+    # C[-1] == 1.0: the last stage's node t + h is f_new's time too
+    last_envelopes = envelopes[len(A) - 1]
     # per stage: the K rows its sum reads, its weights and node, the K row
-    # it fills and its input row
-    stages = [(K[:a.size].T, a, c, K[a.size], y_s)
-              for a, c, y_s in zip(A, C, inputs)]
-    extra = [(K_ext[:a.size].T, a, c, K_ext[a.size], y_s)
-             for a, c, y_s in zip(A_EXTRA, C_EXTRA, inputs[len(A):])]
+    # it fills, its input row and its envelope row
+    stages = [(K[:a.size].T, a, c, K[a.size], y_s, e)
+              for a, c, y_s, e in zip(A, C, inputs, envelopes)]
+    extra = [(K_ext[:a.size].T, a, c, K_ext[a.size], y_s, e)
+             for a, c, y_s, e in zip(A_EXTRA, C_EXTRA, inputs[len(A):],
+                                     envelopes[len(A):])]
     # the error estimates' buffer and its float views, and the error scale
     err = np.empty(n, dtype=complex)
     err_re, err_im = err.real, err.imag
@@ -504,8 +554,11 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     # sampled steps whose dense output is not evaluated yet
     block = _DenseBlock(out, samples, 3 + len(D))
 
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, t_bound, max_step, rtol, atol)
+    # f, the derivative at the current state, lives in K's last row: the
+    # new state's f is written there, and a step starts by copying it into
+    # row 0, which no trial of the step writes again
+    K_last[...] = fun(t, y)
+    h_abs = _initial_step(fun, t, y, K_last, t_bound, max_step, rtol, atol)
     nfev = 2
     abs_y = np.abs(y)
     i_sample = 0
@@ -515,6 +568,7 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
             h_abs = max_step
         elif h_abs < min_step:
             h_abs = min_step
+        K_first[...] = K_last
         rejected = False
         while True:
             if h_abs < min_step:
@@ -525,17 +579,26 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
             h_abs = abs(h)
             h_array[()] = h
 
-            K_first[...] = f
-            for K_s, a, c, K_row, y_s in stages:
+            if linear is not None:
+                main_envelopes_re[...] = envelope_pairs(
+                    [t + c * h for c in C], width)
+            for K_s, a, c, K_row, y_s, e in stages:
                 K_s.dot(a, out=y_s)
                 y_s *= h_array
                 y_s += y
-                K_row[...] = fun(t + c * h, y_s)
+                if linear is None:
+                    K_row[...] = fun(t + c * h, y_s)
+                else:
+                    blocks.dot(y_s, out=products)
+                    pairs.dot(e, out=K_row)
             y_new = K_b.dot(B)
             y_new *= h_array
             y_new += y
-            f_new = fun(t + h, y_new)
-            K_last[...] = f_new
+            if linear is None:
+                K_last[...] = fun(t + h, y_new)
+            else:
+                blocks.dot(y_new, out=products)
+                pairs.dot(last_envelopes, out=K_last)
             nfev += len(stages) + 1
 
             abs_y_new = np.abs(y_new)
@@ -567,7 +630,7 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
             rejected = True
 
         t_old, y_old = t, y
-        t, y, f, abs_y = t_new, y_new, f_new, abs_y_new
+        t, y, abs_y = t_new, y_new, abs_y_new
         i_end = i_sample
         while i_end < len(sample_times) and sample_times[i_end] <= t:
             i_end += 1
@@ -576,17 +639,24 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
 
         # dense output over the step: three more stages, then its Horner
         # coefficients, recorded for the block's evaluation
-        for K_s, a, c, K_row, y_s in extra:
+        if linear is not None:
+            extra_envelopes_re[...] = envelope_pairs(
+                [t_old + c * h for c in C_EXTRA], width)
+        for K_s, a, c, K_row, y_s, e in extra:
             K_s.dot(a, out=y_s)
             y_s *= h_array
             y_s += y_old
-            K_row[...] = fun(t_old + c * h, y_s)
+            if linear is None:
+                K_row[...] = fun(t_old + c * h, y_s)
+            else:
+                blocks.dot(y_s, out=products)
+                pairs.dot(e, out=K_row)
         nfev += len(extra)
         F = block.record(t_old, h, y_old, i_end - i_sample)
         delta_y = y - y_old
         F[0] = delta_y
         F[1] = h * K_first - delta_y
-        F[2] = 2 * delta_y - h * (f + K_first)
+        F[2] = 2 * delta_y - h * (K_last + K_first)
         F[3:] = h * D.dot(K_ext)
         i_sample = i_end
     block.flush()

@@ -440,6 +440,27 @@ class TestVerifyAndDesign:
         report = json.loads(result.stdout)
         assert report["eta"] == report["fitted_eta"] == [2.0, 1.0]
 
+    def test_design_report_is_strict_json_when_det_overflows(self, runner,
+                                                             tmp_path):
+        # fig2's saved form with its dipoles x1e45: det S is past the
+        # double range, and JSON has no infinity or NaN
+        raw = stirapkit.scenarios.scenario_to_dict(
+            stirapkit.scenarios.builtin_scenario("fig2"))
+        system = raw["system"]
+        system["mu_pump"] = [1e45 * v for v in system["mu_pump"]]
+        system["mu_stokes"] = [[1e45 * v for v in row]
+                               for row in system["mu_stokes"]]
+        result = runner.invoke(main, ["design", write_scenario(tmp_path, raw)])
+        assert result.exit_code == 0, result.output
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        report = json.loads(result.stdout, parse_constant=reject)
+        assert report["feasible"] is True
+        assert report["det_check"] is None
+        assert report["selected_rows"] == list(range(1, 8))
+
     def test_design_zero_eta_reports_infeasible(self, runner, tmp_path):
         raw = mini_dict()
         del raw["fields"]

@@ -278,6 +278,19 @@ class TestRankRule:
         assert report.selected_rows == tuple(range(1, 8))
         assert not np.isfinite(report.det_check)
 
+    @pytest.mark.parametrize("factor", [1.0, 1e150, 1e160, 1e-170])
+    def test_pivot_rows_do_not_depend_on_units(self, factor):
+        # rows 1 and 2 are parallel; row 2 has the largest norm, and row 3
+        # completes it.  Row norms of the raw dipoles overflow past about
+        # 1e154 and underflow below about 1e-162
+        mu = np.array([[1.0, 1.0], [2.0, 2.0], [1.0, -1.0]]) * factor
+        system = SystemSpec(3, 2, [factor] * 3, mu)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_feasibility(system, TargetSpec.basis(2))
+        assert report.feasible
+        assert report.selected_rows == (2, 3)
+
     def test_every_reader_calls_the_one_function(self, monkeypatch):
         assert stirapkit.nullspace.numerical_rank is numerical_rank
         scenario = builtin_scenario("fig2")

@@ -9,6 +9,7 @@ from stirapkit import (FieldSet, NullVector, NullVectorLabel, StateVector,
                        SystemSpec, TargetSpec, design_fields, envelope_pair,
                        ground_state, hamiltonian, log_envelope_ratio,
                        matched_pump_rabi)
+from stirapkit.model import envelope_pairs
 
 from helpers import crandn, named_system_and_fields, random_feasible_system
 
@@ -342,6 +343,24 @@ class TestEnvelopePair:
     def test_log_envelope_ratio_finite_where_both_envelopes_underflow(self):
         assert envelope_pair(1e3, 1.0) == (0.0, 0.0)
         assert log_envelope_ratio(1e3, 1.0) == 1999.0
+
+    def test_envelope_pairs_equal_envelope_pair_bitwise(self):
+        # one np.exp over the exponents of many times, as the integrator
+        # evaluates a step's stages, gives each time the scalar call's bits
+        rng = np.random.default_rng(18)
+        for w in self.WIDTHS:
+            times = (w * rng.uniform(-30.0, 30.0, 200_000)).tolist()
+            batched = envelope_pairs(times, w)
+            assert batched.shape == (len(times), 2)
+            assert batched.dtype == float
+            scalar = np.array([envelope_pair(t, w) for t in times])
+            assert np.array_equal(batched, scalar)
+
+    def test_envelope_pairs_underflow_to_zero(self):
+        pairs = envelope_pairs([1e3, 0.0, 1.0], 1.0)
+        assert pairs[0].tolist() == [0.0, 0.0]
+        assert pairs[1:].tolist() == [list(envelope_pair(0.0, 1.0)),
+                                      list(envelope_pair(1.0, 1.0))]
 
 
 class TestCouplingStack:

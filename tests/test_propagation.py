@@ -526,6 +526,70 @@ class TestDop853Oracle:
         assert np.array_equal(ours.y, theirs.y)
 
 
+class TestBatchedStages:
+    """``solve_ivp`` evaluates the package's own right-hand side by its parts.
+
+    Handed ``_make_rhs(fields)``, the loop computes a step's stage envelopes
+    in one ``np.exp`` call and writes each stage's product into its K row;
+    any other callable is called once per stage.  Both give the same bits.
+    """
+
+    @staticmethod
+    def solve(fields, fun, rtol=1e-10, max_step=0.25):
+        times = fields.width * np.linspace(-4.0, 5.0, 901)
+        psi0 = np.zeros(fields.coupling_stack.shape[-1], dtype=complex)
+        psi0[0] = 1.0
+        return stirapkit.propagation.solve_ivp(
+            fun, (times[0], times[-1]), psi0, method="DOP853", rtol=rtol,
+            atol=rtol, max_step=max_step * fields.width, t_eval=times)
+
+    def assert_same_as_plain(self, fields, **options):
+        rhs = stirapkit.propagation._make_rhs(fields)
+        batched = self.solve(fields, rhs, **options)
+        plain = self.solve(fields, lambda t, y: rhs(t, y), **options)
+        assert batched.success and plain.success
+        assert np.array_equal(batched.y, plain.y)
+        assert batched.nfev == plain.nfev
+        return batched
+
+    @pytest.mark.parametrize("case, nfev", [
+        ("fig2", 17_471), ("fig3", 17_060), ("fig4", 16_094),
+        ("fig5", 16_502)])
+    def test_figures_equal_the_plain_callable(self, case, nfev):
+        _, fields = named_system_and_fields(case)
+        assert self.assert_same_as_plain(fields).nfev == nfev
+
+    def test_rejected_steps_equal_the_plain_callable(self):
+        # no step cap and a tight tolerance: the controller rejects steps
+        # (TestDop853Oracle.test_rejected_steps counts them), and a retried
+        # step recomputes its envelopes for the new step size
+        _, fields = named_system_and_fields("fig2")
+        self.assert_same_as_plain(fields, rtol=1e-12, max_step=math.inf)
+
+    def test_propagate_takes_the_batched_path(self, monkeypatch):
+        # the scalar envelopes are left to the edge check, the first f and
+        # the starting step; the stages take theirs in one call per step
+        scalar, batched = [], []
+
+        def counting(log, function):
+            def wrapper(*args):
+                log.append(args)
+                return function(*args)
+            return wrapper
+
+        prop = stirapkit.propagation
+        monkeypatch.setattr(prop, "envelope_pair",
+                            counting(scalar, prop.envelope_pair))
+        monkeypatch.setattr(prop, "envelope_pairs",
+                            counting(batched, prop.envelope_pairs))
+        system, fields = named_system_and_fields("fig2")
+        propagate(system, fields, ground_state(system))
+        assert len(scalar) == 4
+        # one call per trial step and one per sampled step's dense output
+        assert 17_471 // 12 < len(batched) < 17_471 // 6
+        assert sum(len(times) for times, _ in batched) < 17_471
+
+
 class TestSampleTimes:
     """``t_eval`` outside ``t_span`` or out of order fails as scipy's does."""
 
