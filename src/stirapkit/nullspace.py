@@ -461,28 +461,33 @@ def track_null_frame(h_sampler, seeds, grid,
     # keeps a write through one of them from changing the stack
     frames.setflags(write=False)
     members = frames.shape[1]
-    vectors = list(map(_frame_vector, frames.reshape(-1, frames.shape[2]),
-                       np.repeat(grid, members).tolist(),
-                       _labels(_node_profile(frames), system).ravel()))
+    vectors = _frame_vectors(frames.reshape(-1, frames.shape[2]),
+                             np.repeat(grid, members).tolist(),
+                             _labels(_node_profile(frames), system).ravel())
     return [vectors[i:i + members] for i in range(0, len(vectors), members)]
 
 
-def _frame_vector(components: np.ndarray, time: float,
-                  label: NullVectorLabel) -> NullVector:
-    """``NullVector(components, time, label=label)`` for a frame-stack row.
+def _frame_vectors(rows: np.ndarray, times: list[float],
+                   labels) -> list[NullVector]:
+    """``NullVector(row, time, label=label)`` for each frame-stack row.
 
-    Sets the three fields as the dataclass ``__init__`` does, without running
+    Writes the three fields into each instance's ``__dict__``, where the
+    dataclass ``__init__`` would put them, without running
     ``StateVector.__post_init__`` and so without its copy: the one place a
-    vector's components are a view.  It is called only on rows of the
+    vector's components are a view.  It is called only on the rows of the
     tracker's own frame stack.  Each row is 1-d, non-empty, complex and
     finite (a non-finite Hamiltonian stops tracking), and the stack is
     read-only and never written again.
     """
-    vec = object.__new__(NullVector)
-    object.__setattr__(vec, "components", components)
-    object.__setattr__(vec, "time", time)
-    object.__setattr__(vec, "label", label)
-    return vec
+    vectors = []
+    for components, time, label in zip(rows, times, labels):
+        vec = object.__new__(NullVector)
+        fields = vec.__dict__
+        fields["components"] = components
+        fields["time"] = time
+        fields["label"] = label
+        vectors.append(vec)
+    return vectors
 
 
 def _time_grid(grid) -> np.ndarray:

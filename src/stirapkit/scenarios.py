@@ -2,11 +2,14 @@
 
 A scenario bundles a system, a target, either a ready field set or a design
 request, propagation settings and optional population bounds.  Scenarios are
-JSON documents validated against :data:`SCENARIO_SCHEMA`; complex numbers are
-written either as plain numbers or as ``[re, im]`` pairs.  The canonical form
-written by :func:`scenario_to_dict` is itself a scenario document: it spells
-every optional setting out, ``null`` where none is set.  Four built-in
-scenarios (``fig2`` .. ``fig5``) encode the reference parameter tables of the
+JSON documents validated against :data:`SCENARIO_SCHEMA`, the one statement
+of the format; complex numbers are written either as plain numbers or as
+``[re, im]`` pairs.  The package walks the schema itself (jsonschema is a
+test-only dependency) and reports the error jsonschema's ``best_match``
+would, in jsonschema's words.  The canonical form written by
+:func:`scenario_to_dict` is itself a scenario document: it spells every
+optional setting out, ``null`` where none is set.  Four built-in scenarios
+(``fig2`` .. ``fig5``) encode the reference parameter tables of the
 seven-intermediate, seven-degenerate demonstration system and its edits.
 
 Every run produces a :class:`RunRecord` whose summary is a pure function of
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .design import (DesignError, TargetSpec, design_fields, matched_pump_rabi,
@@ -146,9 +148,140 @@ SCENARIO_SCHEMA = {
     },
 }
 
-# Built once: ``jsonschema.validate`` would re-check the schema itself and
-# rebuild the validator on every load.
-_VALIDATOR = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+# The keywords SCENARIO_SCHEMA uses, read as JSON Schema 2020-12 reads them.
+# ``$schema`` and ``title`` are annotations; any other keyword stops
+# validation, so a schema edit cannot skip a rule silently.
+_ANNOTATIONS = ("$schema", "title")
+
+
+def _is_number(value) -> bool:
+    # JSON numbers load as int or float, and a bool is not one
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    # as jsonschema reads it: 1.0 is an integer, True is not
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "array": lambda value: isinstance(value, list),
+    "integer": _is_integer,
+    "null": lambda value: value is None,
+    "number": _is_number,
+    "object": lambda value: isinstance(value, dict),
+    "string": lambda value: isinstance(value, str),
+}
+
+
+def _has_type(value, types) -> bool:
+    if isinstance(types, str):
+        return _TYPES[types](value)
+    for name in types:
+        if _TYPES[name](value):
+            return True
+    return False
+
+
+def _too_short(value, least: int) -> str:
+    return (f"{value!r} should be non-empty" if least == 1
+            else f"{value!r} is too short")
+
+
+def _walk(value, schema: dict, path: tuple, errors: list) -> None:
+    """Append ``(path, message)`` for each error of ``value``.
+
+    Visits the keywords in the schema's order and words each message as
+    jsonschema's ``iter_errors`` does.  Limits compare as jsonschema compares
+    them, so NaN passes them all.
+    """
+    for keyword, rule in schema.items():
+        message = None
+        if keyword == "type":
+            if not _has_type(value, rule):
+                names = [rule] if isinstance(rule, str) else rule
+                message = (f"{value!r} is not of type "
+                           f"{', '.join(map(repr, names))}")
+        elif keyword == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    _walk(item, rule, path + (index,), errors)
+        elif keyword == "minItems":
+            if isinstance(value, list) and len(value) < rule:
+                message = _too_short(value, rule)
+        elif keyword == "maxItems":
+            if isinstance(value, list) and len(value) > rule:
+                message = f"{value!r} is too long"
+        elif keyword == "properties":
+            if isinstance(value, dict):
+                for name, subschema in rule.items():
+                    if name in value:
+                        _walk(value[name], subschema, path + (name,), errors)
+        elif keyword == "required":
+            if isinstance(value, dict):
+                errors.extend((path, f"{name!r} is a required property")
+                              for name in rule if name not in value)
+        elif keyword == "additionalProperties" and rule is False:
+            if isinstance(value, dict):
+                known = schema.get("properties", {})
+                extras = sorted((name for name in value if name not in known),
+                                key=str)
+                if extras:
+                    verb = "was" if len(extras) == 1 else "were"
+                    message = ("Additional properties are not allowed "
+                               f"({', '.join(map(repr, extras))} {verb} "
+                               "unexpected)")
+        elif keyword == "minimum":
+            if _is_number(value) and value < rule:
+                message = f"{value!r} is less than the minimum of {rule!r}"
+        elif keyword == "exclusiveMinimum":
+            if _is_number(value) and value <= rule:
+                message = (f"{value!r} is less than or equal to "
+                           f"the minimum of {rule!r}")
+        elif keyword == "maximum":
+            if _is_number(value) and value > rule:
+                message = f"{value!r} is greater than the maximum of {rule!r}"
+        elif keyword == "minLength":
+            if isinstance(value, str) and len(value) < rule:
+                message = _too_short(value, rule)
+        elif keyword == "enum":
+            # the schema's enums list strings, which compare by ``==`` alone
+            if value not in rule:
+                message = f"{value!r} is not one of {rule!r}"
+        elif keyword not in _ANNOTATIONS:
+            raise NotImplementedError(
+                f"scenario schema keyword {keyword!r}: {rule!r}")
+        if message is not None:
+            errors.append((path, message))
+
+
+def _relevance(error) -> tuple:
+    """jsonschema's ``relevance`` key, for the keywords above.
+
+    The shallowest error wins, then the greatest path; ``max`` keeps the
+    first of a tie.  The key's last part, which prefers an error whose value
+    fails its schema's ``"type"``, never decides here: these keywords check
+    each path against one subschema, so errors that tie on the path share it.
+    """
+    path = error[0]
+    return -len(path), path
+
+
+def _validate(raw, schema: dict = SCENARIO_SCHEMA) -> None:
+    """Raise :class:`ScenarioError` unless ``raw`` is valid under ``schema``.
+
+    Of several errors it reports the one jsonschema's ``best_match`` picks,
+    as ``scenario field <path>: <jsonschema's message>``.
+    """
+    errors: list = []
+    _walk(raw, schema, (), errors)
+    if errors:
+        path, message = max(errors, key=_relevance)
+        where = "/".join(map(str, path)) or "(root)"
+        raise ScenarioError(f"scenario field {where}: {message}")
+
 
 SWEEP_AXES = ("width", "amplitude-scale", "phase-perturbation", "eta")
 
@@ -445,6 +578,10 @@ def load_scenario(path) -> Scenario:
         raw = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{p}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        # the decoder recurses once per level of nesting
+        raise ScenarioError(
+            f"{p}: not valid JSON: nested too deeply") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{p}: cannot read: {exc}") from exc
     return _scenario_from_dict(raw)
@@ -474,10 +611,7 @@ def _apply_overrides(fields: FieldSet, overrides: list[dict]) -> FieldSet:
 
 
 def _scenario_from_dict(raw: dict) -> Scenario:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if error is not None:
-        where = "/".join(str(part) for part in error.absolute_path) or "(root)"
-        raise ScenarioError(f"scenario field {where}: {error.message}") from error
+    _validate(raw)
 
     sys_raw = raw["system"]
     try:

@@ -229,6 +229,17 @@ class TestRun:
         assert result.output.startswith(f"error: {path}: ")
         assert len(result.output.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_deeply_nested_file_exits_1(self, runner, tmp_path, command):
+        # the JSON decoder's RecursionError used to end in a traceback
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        result = runner.invoke(main, [command, str(path)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        assert result.output == (
+            f"error: {path}: not valid JSON: nested too deeply\n")
+
     @pytest.mark.parametrize("flag", [["--window", "5", "-4"],
                                       ["--rel-tol", "-1"],
                                       ["--stride", "nan"],

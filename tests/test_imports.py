@@ -4,9 +4,11 @@ No scipy at runtime: the package carries DOP853's tableau itself, so design,
 verification, null-space work and integration load no scipy module, and the
 commands run with scipy blocked.  A fresh ``stirapkit reproduce fig2``
 process takes 0.47 s without scipy, against 1.02 s when it imported
-``scipy.integrate`` (medians of 12 pairs, ``BENCH_22.json``).  Fresh
-interpreters guard both.  Every exported name must resolve, and names deleted
-from the public surface must stay gone.
+``scipy.integrate`` (medians of 12 pairs, ``BENCH_22.json``).  No jsonschema
+at runtime either: the package validates scenario files itself, so the
+commands run, and reject a malformed file, with jsonschema blocked.  Fresh
+interpreters guard all of this.  Every exported name must resolve, and names
+deleted from the public surface must stay gone.
 """
 
 import hashlib
@@ -148,6 +150,58 @@ def test_commands_run_with_scipy_blocked(tmp_path):
 def test_cli_import_leaves_csv_unloaded():
     # only a sweep that writes its table needs csv, and it imports it then
     code = "import sys, stirapkit, stirapkit.cli; print('csv' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# Runs the commands in-process with every jsonschema import made to fail;
+# the sweep's pool workers inherit the block.
+NO_JSONSCHEMA_CHILD = """
+import contextlib, io, json, sys
+sys.modules["jsonschema"] = None
+from stirapkit.cli import main
+
+codes, errors = [], []
+for args in (["reproduce", "fig2", "--out", sys.argv[1]],
+             ["sweep", "fig2", "--axis", "amplitude-scale", "--values", "1,2",
+              "--jobs", "2"],
+             ["verify", sys.argv[2]]):
+    stderr = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(stderr):
+            main(args)
+    except SystemExit as exc:
+        codes.append(exc.code)
+    errors.append(stderr.getvalue())
+print(json.dumps({"codes": codes, "errors": errors}))
+"""
+
+
+def test_commands_run_without_jsonschema(tmp_path):
+    malformed = dict(DESIGN_SCENARIO)
+    malformed["system"] = dict(DESIGN_SCENARIO["system"], mu_pump=["x"])
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(malformed))
+    out = tmp_path / "run"
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_JSONSCHEMA_CHILD, str(out), str(path)],
+        capture_output=True, text=True, env=child_env(), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 1]
+    assert result["errors"][2] == (
+        "error: scenario field system/mu_pump/0: "
+        "'x' is not of type 'number', 'array'\n")
+    (csv,) = out.glob("*.csv")
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == FIG2_CSV_SHA256
+
+
+def test_cli_import_leaves_jsonschema_unloaded():
+    # the package validates scenarios itself; jsonschema is a test extra
+    code = ("import sys, stirapkit, stirapkit.cli; "
+            "print('jsonschema' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,8 +1,10 @@
 """Scenario files, built-in reproductions, runs and sweeps."""
 
+import copy
 import dataclasses
 import json
 import math
+import random
 import warnings
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ from stirapkit import (DesignError, ScenarioError, TargetSpec, Trajectory,
                        load_scenario, run, scenario_to_dict, sweep,
                        write_trajectory_csv)
 from stirapkit.scenarios import (SCENARIO_SCHEMA, Bounds, DesignRequest,
-                                 _check_bounds)
+                                 _check_bounds, _validate)
 
 from helpers import trajectory_csv_oracle
 
@@ -403,6 +405,131 @@ class TestLoadScenario:
         path.write_text(json.dumps(small_scenario_dict(bounds={key: value})))
         with pytest.raises(ScenarioError, match=f"{key} must be finite"):
             load_scenario(path)
+
+    def test_deeply_nested_json_is_a_scenario_error(self, tmp_path):
+        # the decoder recurses once per level and raises RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(ScenarioError) as got:
+            load_scenario(path)
+        assert str(got.value) == f"{path}: not valid JSON: nested too deeply"
+
+
+# Values swapped into the mutation corpus: every JSON type, and numbers on
+# and around the schema's limits.
+SWAP_VALUES = ["x", "", True, False, None, [], [1.0, "a"], {}, {"re": 1.0},
+               math.nan, math.inf, 0, -1, 1.0, 1.5]
+
+# Every keyword the package's validator implements, as jsonschema names the
+# error it reports.
+VALIDATED_KEYWORDS = {"type", "required", "additionalProperties", "minItems",
+                      "maxItems", "minimum", "maximum", "exclusiveMinimum",
+                      "enum", "minLength"}
+
+
+def _json_nodes(doc, path=()):
+    """Every (path, value) of a JSON document, the root first."""
+    yield path, doc
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _json_nodes(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _json_nodes(value, path + (index,))
+
+
+def _mutate(doc, rng):
+    """Apply one random mutation to ``doc`` in place."""
+    nodes = list(_json_nodes(doc))
+    objects = [value for _, value in nodes if isinstance(value, dict)]
+    arrays = [value for _, value in nodes if isinstance(value, list)]
+    kind = rng.choice(["drop", "add", "swap", "swap", "swap", "resize"])
+    if kind == "drop":
+        block = rng.choice(objects)
+        if block:
+            del block[rng.choice(sorted(block))]
+    elif kind == "add":
+        rng.choice(objects)[rng.choice(["extra", "Label", "zz"])] = (
+            copy.deepcopy(rng.choice(SWAP_VALUES)))
+    elif kind == "swap":
+        # half the swaps hit a named field, which the long arrays would
+        # otherwise crowd out
+        named = [node for node in nodes[1:] if isinstance(node[0][-1], str)]
+        path, _ = rng.choice(named if rng.random() < 0.5 else nodes[1:])
+        parent = doc
+        for part in path[:-1]:
+            parent = parent[part]
+        parent[path[-1]] = copy.deepcopy(rng.choice(SWAP_VALUES))
+    elif arrays:
+        array = rng.choice(arrays)
+        shape = rng.random()
+        if shape < 0.3:
+            array.clear()
+        elif shape < 0.6 and array:
+            array.pop()
+        else:
+            array.append(copy.deepcopy(array[-1] if array
+                                       else rng.choice(SWAP_VALUES)))
+
+
+def mutation_corpus(count: int, seed: int) -> list:
+    """Seeded scenario documents, each with one to three mutations."""
+    bases = [
+        scenario_to_dict(builtin_scenario("fig2")),
+        design_scenario_dict(eta=[1.0, 0.5], stokes_phases=[0.0, 1.0],
+                             width=2.0),
+        small_scenario_dict(
+            overrides=[{"pulse": "stokes", "k": 1, "j": 1,
+                        "value": [1.0, 0.5]}],
+            bounds={"max_p_x": 0.1, "max_p_y": None, "min_final_p_f": 0.99}),
+    ]
+    rng = random.Random(seed)
+    corpus = []
+    for index in range(count):
+        doc = copy.deepcopy(bases[index % len(bases)])
+        for _ in range(rng.randint(1, 3)):
+            _mutate(doc, rng)
+        corpus.append(doc)
+    return corpus
+
+
+class TestSchemaOracle:
+    """The package's validator against jsonschema, the reference reading."""
+
+    def test_mutation_corpus_matches_jsonschema(self):
+        validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+        valid, several, keywords = 0, 0, set()
+        for doc in mutation_corpus(2400, seed=25):
+            errors = list(validator.iter_errors(doc))
+            assert validator.is_valid(doc) == (not errors)
+            if not errors:
+                valid += 1
+                _validate(doc)
+                continue
+            several += len(errors) > 1
+            best = jsonschema.exceptions.best_match(errors)
+            keywords.add(best.validator)
+            where = "/".join(map(str, best.absolute_path)) or "(root)"
+            with pytest.raises(ScenarioError) as got:
+                _validate(doc)
+            assert str(got.value) == f"scenario field {where}: {best.message}"
+        # the corpus reaches valid documents, documents with several errors,
+        # and a best error from every keyword
+        assert valid > 100 and several > 100
+        assert keywords == VALIDATED_KEYWORDS
+
+    @pytest.mark.parametrize("edit", [
+        lambda schema: schema["properties"]["label"].update(pattern="^[a-z]+$"),
+        lambda schema: schema["properties"]["system"].update(
+            additionalProperties={"type": "number"}),
+        lambda schema: schema["properties"]["target"]["items"].update(
+            multipleOf=0.5),
+    ], ids=["pattern", "additional-schema", "nested"])
+    def test_unimplemented_keyword_stops_validation(self, edit):
+        schema = copy.deepcopy(SCENARIO_SCHEMA)
+        edit(schema)
+        with pytest.raises(NotImplementedError):
+            _validate(small_scenario_dict(), schema)
 
 
 # The canonical form of the built-ins, pinned: these hashes depend on the
