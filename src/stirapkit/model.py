@@ -18,6 +18,7 @@ Conventions (natural units, hbar = 1):
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,16 @@ class SystemSpec:
     mu_stokes: np.ndarray
 
     def __post_init__(self):
+        # stored as ints, so that a count of 7.0 hashes and indexes like 7
+        for name in ("n_intermediate", "n_degenerate"):
+            value = getattr(self, name)
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be a whole number, "
+                                 f"not {value!r}") from None
         if self.n_intermediate < 1 or self.n_degenerate < 1:
             raise ValueError("need at least one intermediate and one degenerate state")
         object.__setattr__(

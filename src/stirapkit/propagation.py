@@ -14,13 +14,7 @@ The dense output that gives the samples is recorded per step but evaluated
 per block: a step that holds samples keeps its seventh-order polynomial, and
 one Horner pass evaluates the polynomials of up to 128 such steps over all of
 their samples at once, with scipy's operations in scipy's order.  The block
-is a fixed buffer, so memory does not grow with the run's length.  The stages
-allocate nothing: each stage forms its input state in its own row of one
-buffer made once per call, so the right-hand side may receive a row that the
-loop writes again later, and must neither keep nor modify it.  The loop runs
-with numpy's overflow and invalid-value warnings off: a trial step that
-overflows has an infinite or NaN error norm, which the step control rejects,
-and ``propagate`` fails a non-finite state.
+is a fixed buffer, so memory does not grow with the run's length.
 
 The right-hand side reuses the factorization of the Hamiltonian into two
 constant Hermitian blocks times scalar Gaussian envelopes: the field set's
@@ -30,14 +24,14 @@ the two envelope values.  Both are ``ndarray.dot`` calls, not ``@``: ``@`` is
 numpy's matmul generalized ufunc, whose dispatch costs about 0.4 us more per
 call than ``dot`` reaching the same BLAS routine, with the same bits.
 
-``solve_ivp`` takes any callable ``fun(t, y)`` and calls it once per stage.
-The package's own right-hand side, the object ``_make_rhs`` returns, is
-evaluated by its parts instead: once a trial step has its size h, the loop
-knows every stage node t + c*h, so one ``np.exp`` call gives the envelopes
-of all of them (:func:`~stirapkit.model.envelope_pairs`), and each stage
-writes its contraction straight into its row of the stage matrix.  The
-values are those of one call per stage, bit for bit, and so is the RHS
-count.
+Every right-hand-side evaluation of a step goes through one stage routine
+in ``solve_ivp``.  Any callable ``fun(t, y)`` is called once per stage; the
+package's own right-hand side, a ``_LinearRhs``, is evaluated by its parts
+instead: once a step has its size h it knows every node t + c*h, so one
+``np.exp`` call gives the envelopes of all of them
+(:func:`~stirapkit.model.envelope_pairs`), and each stage writes its
+contraction straight into its row of the stage matrix, with the bits and
+the RHS count of one call per stage.
 
 Window, stride and step limits are expressed in units of the pulse width;
 peak Rabi amplitudes keep their own reciprocal-time units, so sweeping the
@@ -185,10 +179,11 @@ def _split_populations(states: np.ndarray, n: int, m: int,
 
 
 def _sample_times(config: PropagationConfig, width: float) -> np.ndarray:
-    """The output grid in time units; raises unless every sample is finite.
+    """The output grid in time units; raises unless it is finite and increasing.
 
     A finite window times a huge finite width can overflow; the integrator
-    would then step on NaN times without end.
+    would then step on NaN times without end.  Times a tiny width, such as
+    5e-324, neighbouring samples round to the same float.
     """
     span = config.t_end - config.t_start
     n_steps = max(1, int(np.ceil(span / config.output_stride - 1e-9)))
@@ -198,6 +193,10 @@ def _sample_times(config: PropagationConfig, width: float) -> np.ndarray:
         raise ValueError(f"sample times overflow: the window [{config.t_start:g}, "
                          f"{config.t_end:g}] times the pulse width {width:g} "
                          "is not finite")
+    if not (np.diff(times) > 0).all():
+        raise ValueError("sample times are not strictly increasing: the "
+                         f"pulse width {width:g} is too small for the "
+                         f"output stride {config.output_stride:g}")
     return times
 
 
@@ -211,8 +210,7 @@ class _LinearRhs:
     envelope pair into the result.  Both are ``ndarray.dot`` calls, not
     ``@`` (see the module docstring); the products, and so the states, are
     bit for bit the same.  Calling the object does that for one time and
-    returns a fresh array; :func:`solve_ivp` reads the parts to evaluate a
-    step's stages with their envelopes computed together.
+    returns a fresh array; :func:`solve_ivp` reads the parts instead.
     """
 
     __slots__ = ("blocks", "products", "pairs", "width", "_envelopes",
@@ -236,16 +234,6 @@ class _LinearRhs:
         self.blocks.dot(psi, out=self.products)
         # a fresh array, which the caller may keep
         return self.pairs.dot(self._envelopes)
-
-
-def _make_rhs(fields: FieldSet) -> _LinearRhs:
-    """``-i H(t) psi`` for ``fields``: a callable ``rhs(t, psi)``.
-
-    :func:`solve_ivp` runs it like any other right-hand side, through its
-    calls, when it is wrapped or handed to scipy; handed to ``solve_ivp``
-    itself, it is evaluated a step's stages at a time (see there).
-    """
-    return _LinearRhs(fields)
 
 
 @dataclass(frozen=True)
@@ -470,31 +458,35 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     ``8 * _DENSE_BLOCK`` state-sized rows however long the run is, and a
     pass's temporaries are the size of its own samples' rows.
 
-    The stages allocate nothing: each stage's input state is formed in its
-    own row of one buffer made once per call, and the error scale in
-    another.  ``y0`` is only read, so it may be read-only, and no buffer
-    outlives the call.  Overflow and invalid-value warnings are
-    off inside the loop: a trial step that overflows has an infinite or NaN
-    error norm, which the step control rejects, and ``propagate`` fails a
-    non-finite state.
+    Every right-hand-side evaluation after the first two (f at the start
+    and the starting step's probe) goes through one stage routine, given a
+    stage table and the step's start and size h.  Each entry forms its
+    input state, the start plus h times its weighted K rows, in its own row
+    of one buffer made once per call, and evaluates it into its K row.  A
+    trial step runs the 11 stages and, as a 12th entry with weights ``B``
+    and node 1.0, the new state, whose accepted value is copied out of its
+    input row; a sampled step then runs the 3 dense-output stages from the
+    step's start.  ``y0`` is only read, and no buffer outlives the call.
+    Overflow and invalid-value warnings are off inside the loop: a trial
+    step that overflows has an infinite or NaN error norm, which the step
+    control rejects, and ``propagate`` fails a non-finite state.
 
     This is the seam that the benchmark's tracer and the tests replace.
-    A plain callable ``fun(t, y)`` is called once per right-hand-side
-    evaluation and must return a complex array shaped like ``y0``, which
-    the loop copies.  ``y`` may be a row of a buffer that the loop writes
-    again on a later stage, so ``fun`` must neither keep it nor modify it.
-    The package's own right-hand side, ``_make_rhs(fields)`` unwrapped, is
-    evaluated in batch: a trial step computes the envelopes of its 11
-    stage nodes in one ``np.exp`` call (``C[-1] == 1``, so the last node is
-    also the new state's time), the dense output those of its 3 nodes, and
-    each stage writes its contraction into its K row.  A rejected step
-    recomputes them for its new size.  Either way the RHS values, ``y``
-    and ``nfev`` are the same bits; wrapping the object, as the tracer
-    does, selects the plain path.  ``t_eval`` must increase strictly and
-    lie within ``t_span``, or ValueError is raised with scipy's message;
-    ``method`` must be ``"DOP853"``.  The result has ``success``,
-    ``message``, ``y`` shaped ``(len(y0), len(t_eval))`` (only the samples
-    reached, when the run failed) and ``nfev``; ``y`` is a fresh array.
+    A plain callable ``fun(t, y)`` is called once per entry and must return
+    a complex array shaped like ``y0``, which the loop copies; ``y`` is a
+    buffer row that the loop writes again later, so ``fun`` must neither
+    keep nor modify it.  A ``_LinearRhs``, handed over unwrapped, is
+    evaluated by its parts: one ``np.exp`` call gives the envelopes of a
+    table's nodes (the new state shares the last stage's, as
+    ``C[-1] == 1``), and each entry writes its contraction into its K row.
+    Either way the RHS values, ``y`` and ``nfev`` are the same bits;
+    wrapping the object, as the tracer does, selects the plain path.
+
+    ``t_eval`` must increase strictly and lie within ``t_span``, or
+    ValueError is raised with scipy's message; ``method`` must be
+    ``"DOP853"``.  The result has ``success``, ``message``, ``y`` shaped
+    ``(len(y0), len(t_eval))`` (only the samples reached, when the run
+    failed) and ``nfev``; ``y`` is a fresh array.
     """
     if method != "DOP853":
         raise ValueError(f"only DOP853 is implemented, not {method!r}")
@@ -514,48 +506,68 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     n = y.size
     sample_times = samples.tolist()
     out = np.empty((len(sample_times), n), dtype=complex)
-    # rows 0..12 hold the stages of one step, rows 13..15 the dense-output ones
-    K_ext = np.empty((len(A) + 2 + len(A_EXTRA), n), dtype=complex)
-    K = K_ext[:len(A) + 2]
-    K_T, K_b = K.T, K[:-1].T
-    K_first, K_last = K[0], K[-1]
-    # one input row per stage, rows 0..10 for the main stages and 11..13
-    # for the dense-output ones; fun reads a row before the next step
-    # writes it again
-    inputs = np.empty((len(A) + len(A_EXTRA), n), dtype=complex)
-    # the package's own right-hand side is evaluated here, by its parts:
-    # a step's stage envelopes come from one np.exp call, into one complex
-    # row per stage (rows 0..10 main, 11..13 dense output), and each stage's
-    # contraction writes its K row.  Any other fun is called per stage.
+
+    # K rows 0..11 hold a step's stages, row 12 f at the new state and rows
+    # 13..15 the dense-output stages.  Entries 0..10 are the main stages,
+    # entry 11 the new state (weights B, node 1.0) and entries 12..14 the
+    # dense-output stages; each has its own input row, and each but the new
+    # state its own envelope row: C[-1] == 1.0, so it shares stage 11's.
+    K = np.empty((len(A) + 2 + len(A_EXTRA), n), dtype=complex)
+    K_T = K[:len(A) + 2].T
+    K_first, K_last = K[0], K[len(A) + 1]
+    inputs = np.empty((len(A) + 1 + len(A_EXTRA), n), dtype=complex)
+    y_new = inputs[len(A)]
+    envelopes = np.zeros((len(A) + len(A_EXTRA), 2), dtype=complex)
+    envelope_rows = [*envelopes[:len(A)], envelopes[len(A) - 1],
+                     *envelopes[len(A):]]
+    # per entry: the K rows its sum reads, its weights and node, the K row
+    # it fills, its input row and its envelope row
+    entries = [(K[:a.size].T, a, c, K[a.size], y_s, e)
+               for a, c, y_s, e in zip([*A, B, *A_EXTRA], (*C, 1.0, *C_EXTRA),
+                                       inputs, envelope_rows)]
+    # per table: the nodes of its envelope rows, their float view, and its
+    # entries
+    main = (C, envelopes[:len(A)].real, entries[:len(A) + 1])
+    dense = (C_EXTRA, envelopes[len(A):].real, entries[len(A) + 1:])
     linear = fun if isinstance(fun, _LinearRhs) else None
     if linear is not None:
         blocks, products, pairs = linear.blocks, linear.products, linear.pairs
         width = linear.width
-    envelopes = np.zeros((len(A) + len(A_EXTRA), 2), dtype=complex)
-    main_envelopes_re = envelopes[:len(A)].real
-    extra_envelopes_re = envelopes[len(A):].real
-    # C[-1] == 1.0: the last stage's node t + h is f_new's time too
-    last_envelopes = envelopes[len(A) - 1]
-    # per stage: the K rows its sum reads, its weights and node, the K row
-    # it fills, its input row and its envelope row
-    stages = [(K[:a.size].T, a, c, K[a.size], y_s, e)
-              for a, c, y_s, e in zip(A, C, inputs, envelopes)]
-    extra = [(K_ext[:a.size].T, a, c, K_ext[a.size], y_s, e)
-             for a, c, y_s, e in zip(A_EXTRA, C_EXTRA, inputs[len(A):],
-                                     envelopes[len(A):])]
-    # the error estimates' buffer and its float views, and the error scale
-    err = np.empty(n, dtype=complex)
-    err_re, err_im = err.real, err.imag
-    scale = np.empty(n)
     # the step as a 0-d complex array: the cheapest scalar operand for numpy,
     # and the very value h + 0j that numpy multiplies by for a float h
     h_array = np.zeros((), dtype=complex)
 
+    def evaluate(table, t_start, y_start, h):
+        """Fill the K rows of ``table``'s entries for the step h from y_start.
+
+        Returns the number of RHS evaluations.
+        """
+        nodes, envelopes_re, table_entries = table
+        h_array[()] = h
+        if linear is not None:
+            envelopes_re[...] = envelope_pairs(
+                [t_start + c * h for c in nodes], width)
+        for K_s, a, c, K_row, y_s, e in table_entries:
+            K_s.dot(a, out=y_s)
+            y_s *= h_array
+            y_s += y_start
+            if linear is None:
+                K_row[...] = fun(t_start + c * h, y_s)
+            else:
+                blocks.dot(y_s, out=products)
+                pairs.dot(e, out=K_row)
+        return len(table_entries)
+
+    # the error estimates' buffer and its float views, and the error scale
+    err = np.empty(n, dtype=complex)
+    err_re, err_im = err.real, err.imag
+    scale = np.empty(n)
+
     # sampled steps whose dense output is not evaluated yet
     block = _DenseBlock(out, samples, 3 + len(D))
 
-    # f, the derivative at the current state, lives in K's last row: the
-    # new state's f is written there, and a step starts by copying it into
+    # f, the derivative at the current state, lives in K_last: the new
+    # state's entry writes it there, and a step starts by copying it into
     # row 0, which no trial of the step writes again
     K_last[...] = fun(t, y)
     h_abs = _initial_step(fun, t, y, K_last, t_bound, max_step, rtol, atol)
@@ -577,29 +589,7 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = abs(h)
-            h_array[()] = h
-
-            if linear is not None:
-                main_envelopes_re[...] = envelope_pairs(
-                    [t + c * h for c in C], width)
-            for K_s, a, c, K_row, y_s, e in stages:
-                K_s.dot(a, out=y_s)
-                y_s *= h_array
-                y_s += y
-                if linear is None:
-                    K_row[...] = fun(t + c * h, y_s)
-                else:
-                    blocks.dot(y_s, out=products)
-                    pairs.dot(e, out=K_row)
-            y_new = K_b.dot(B)
-            y_new *= h_array
-            y_new += y
-            if linear is None:
-                K_last[...] = fun(t + h, y_new)
-            else:
-                blocks.dot(y_new, out=products)
-                pairs.dot(last_envelopes, out=K_last)
-            nfev += len(stages) + 1
+            nfev += evaluate(main, t, y, h)
 
             abs_y_new = np.abs(y_new)
             np.maximum(abs_y, abs_y_new, out=scale)
@@ -630,7 +620,7 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
             rejected = True
 
         t_old, y_old = t, y
-        t, y, abs_y = t_new, y_new, abs_y_new
+        t, y, abs_y = t_new, y_new.copy(), abs_y_new
         i_end = i_sample
         while i_end < len(sample_times) and sample_times[i_end] <= t:
             i_end += 1
@@ -639,25 +629,13 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
 
         # dense output over the step: three more stages, then its Horner
         # coefficients, recorded for the block's evaluation
-        if linear is not None:
-            extra_envelopes_re[...] = envelope_pairs(
-                [t_old + c * h for c in C_EXTRA], width)
-        for K_s, a, c, K_row, y_s, e in extra:
-            K_s.dot(a, out=y_s)
-            y_s *= h_array
-            y_s += y_old
-            if linear is None:
-                K_row[...] = fun(t_old + c * h, y_s)
-            else:
-                blocks.dot(y_s, out=products)
-                pairs.dot(e, out=K_row)
-        nfev += len(extra)
+        nfev += evaluate(dense, t_old, y_old, h)
         F = block.record(t_old, h, y_old, i_end - i_sample)
         delta_y = y - y_old
         F[0] = delta_y
         F[1] = h * K_first - delta_y
         F[2] = 2 * delta_y - h * (K_last + K_first)
-        F[3:] = h * D.dot(K_ext)
+        F[3:] = h * D.dot(K)
         i_sample = i_end
     block.flush()
     return _Solution(True, FINISHED, out.T, nfev)
@@ -705,7 +683,7 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
 
     max_step = (config.max_step if config.max_step is not None
                 else DEFAULT_MAX_STEP) * width
-    sol = solve_ivp(_make_rhs(fields), (times[0], times[-1]), psi0,
+    sol = solve_ivp(_LinearRhs(fields), (times[0], times[-1]), psi0,
                     method="DOP853", rtol=config.rel_tol, atol=config.abs_tol,
                     max_step=max_step, t_eval=times)
     if not sol.success:

@@ -592,7 +592,8 @@ def _apply_overrides(fields: FieldSet, overrides: list[dict]) -> FieldSet:
     stokes = fields.peak_rabi_stokes.copy()
     n, m = stokes.shape
     for entry in overrides:
-        k = entry["k"]
+        # the schema reads 1.0 as an integer; numpy indexes with ints only
+        k = int(entry["k"])
         value = _to_complex(entry["value"])
         if entry["pulse"] == "pump":
             if "j" in entry:
@@ -601,9 +602,9 @@ def _apply_overrides(fields: FieldSet, overrides: list[dict]) -> FieldSet:
                 raise ValueError(f"unknown override index: pump k={k}")
             pump[k - 1] = value
         else:
-            j = entry.get("j")
-            if j is None:
+            if "j" not in entry:
                 raise ValueError("stokes overrides need a 'j' index")
+            j = int(entry["j"])
             if not (1 <= k <= n and 1 <= j <= m):
                 raise ValueError(f"unknown override index: stokes k={k}, j={j}")
             stokes[k - 1, j - 1] = value

@@ -71,13 +71,16 @@ def named_system_and_fields(case: str):
     """A built-in scenario's system and fields, or a seeded complex design.
 
     ``"fig2"`` names a built-in scenario; ``"seed41"`` draws a 5/3 system
-    and its designed fields from ``default_rng(41)``.
+    and its designed fields from ``default_rng(41)``, and ``"seed41-4x4"``
+    a 4/4 one.
     """
     if case.startswith("fig"):
         scenario = builtin_scenario(case)
         return scenario.system, scenario.resolve_fields()
-    rng = np.random.default_rng(int(case.removeprefix("seed")))
-    system = random_feasible_system(rng, 5, 3)
+    seed, _, shape = case.removeprefix("seed").partition("-")
+    n, m = map(int, shape.split("x")) if shape else (5, 3)
+    rng = np.random.default_rng(int(seed))
+    system = random_feasible_system(rng, n, m)
     fields, _, _ = random_designed_fields(rng, system, width=1.3)
     return system, fields
 

@@ -159,6 +159,21 @@ class TestOverflowingWidth:
         assert "Warning" not in result.output
 
 
+def test_tiny_width_names_the_width(runner, tmp_path, monkeypatch):
+    # at the smallest positive width the sample times collapse: one error
+    # line that names the width, before the integrator
+    monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                        unreachable_solve_ivp)
+    raw = mini_dict(fields={"peak_rabi_pump": [60.0],
+                            "peak_rabi_stokes": [[60.0]], "width": 5e-324})
+    result = runner.invoke(main, ["run", write_scenario(tmp_path, raw)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: propagation: sample times are not strictly increasing: the "
+        "pulse width 4.94066e-324 is too small for the output stride 0.05\n")
+
+
 def test_huge_width_numerical_failure_prints_no_warning(runner, tmp_path):
     # a finite sample grid, but trial steps that overflow: exit 4 with the
     # integrator's message and nothing from numpy
@@ -395,6 +410,25 @@ def test_file_does_not_shadow_builtin(runner, tmp_path, monkeypatch, ref,
     result = runner.invoke(main, ["design", ref])
     assert result.exit_code == 0, result.output
     assert json.loads(result.stdout)["label"] == label
+
+
+@pytest.mark.parametrize("command", ["run", "design", "verify"])
+def test_float_override_indices_exit_0(runner, tmp_path, command):
+    # JSON integers written as floats, as the schema allows: fig2 restated
+    # with float counts and float override indices
+    raw = stirapkit.scenario_to_dict(stirapkit.builtin_scenario("fig2"))
+    raw["system"]["n_intermediate"] = 7.0
+    raw["overrides"] = [{"pulse": "stokes", "k": 1.0, "j": 2.0,
+                         "value": 15.0}]
+    ref = write_scenario(tmp_path, raw)
+    args = [command, ref] + (["--out", str(tmp_path)] if command == "run"
+                             else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    if command == "run":
+        record = json.loads((tmp_path / "fig2.json").read_text())
+        assert record["config_hash"] == stirapkit.config_hash(
+            stirapkit.builtin_scenario("fig2"))
 
 
 class TestVerifyAndDesign:

@@ -94,7 +94,7 @@ class TestRightHandSide:
         else:
             fields, _, _ = random_designed_fields(
                 rng, random_feasible_system(rng, 5, 3), width=1.7)
-        rhs = stirapkit.propagation._make_rhs(fields)
+        rhs = stirapkit.propagation._LinearRhs(fields)
         dim = 1 + fields.n_intermediate + fields.n_degenerate
         for t in fields.width * rng.uniform(-4.0, 5.0, 40):
             psi = crandn(rng, dim)
@@ -113,7 +113,7 @@ class TestRightHandSide:
         stack = fields.coupling_stack
         dim = stack.shape[-1]
         blocks = (-1j * stack).swapaxes(0, 1).reshape(2 * dim, dim)
-        rhs = stirapkit.propagation._make_rhs(fields)
+        rhs = stirapkit.propagation._LinearRhs(fields)
         rng = np.random.default_rng(1901)
         for t in (fields.width * rng.uniform(-5.0, 6.0, 300)).tolist():
             psi = crandn(rng, dim)
@@ -125,7 +125,7 @@ class TestRightHandSide:
         # the step loop keeps f from one step to the next, so the matvec's
         # output buffer must never be what a call returns
         _, fields = named_system_and_fields("fig2")
-        rhs = stirapkit.propagation._make_rhs(fields)
+        rhs = stirapkit.propagation._LinearRhs(fields)
         dim = fields.coupling_stack.shape[-1]
         rng = np.random.default_rng(1902)
         first = rhs(0.3, crandn(rng, dim))
@@ -316,6 +316,20 @@ def test_overflowing_sample_times_rejected(monkeypatch):
             propagate(system, fields, ground_state(system))
 
 
+def test_collapsing_sample_times_rejected(monkeypatch):
+    # the smallest positive width: neighbouring samples round to one float,
+    # and the message names the width, not the integrator's t_eval
+    monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                        unreachable_solve_ivp)
+    system = SystemSpec(1, 1, [1.0], [[1.0]])
+    fields = FieldSet([60.0], [[60.0]], 5e-324)
+    with pytest.raises(ValueError) as got:
+        propagate(system, fields, ground_state(system))
+    assert str(got.value) == ("sample times are not strictly increasing: the "
+                              "pulse width 4.94066e-324 is too small for the "
+                              "output stride 0.01")
+
+
 def test_trajectory_exposes_states_not_a_final_state():
     # the last row of ``states`` is the final state; no second accessor
     assert not hasattr(Trajectory, "final_state")
@@ -340,7 +354,7 @@ class TestDop853Oracle:
                        max_step=max_step * width, t_eval=times)
 
         def rhs():
-            fun = stirapkit.propagation._make_rhs(fields)
+            fun = stirapkit.propagation._LinearRhs(fields)
             return fun if wrap is None else wrap(fun)
 
         ours = stirapkit.propagation.solve_ivp(
@@ -443,7 +457,7 @@ class TestDop853Oracle:
                                  rtol=1e-12, max_step=math.inf)
         self.assert_same(ours, theirs)
         # each attempted step costs 12 RHS calls; count the retried ones
-        solver = DOP853(stirapkit.propagation._make_rhs(scenario.fields),
+        solver = DOP853(stirapkit.propagation._LinearRhs(scenario.fields),
                         -4.0, ground_state(scenario.system).components, 5.0,
                         rtol=1e-12, atol=1e-12)
         rejected = 0
@@ -488,7 +502,7 @@ class TestDop853Oracle:
         # count the steps that hold a sample, on scipy's own step loop
         # (fig2's width is 1, so its times are in width units)
         times = np.linspace(-4.0, 5.0, 901)
-        solver = DOP853(stirapkit.propagation._make_rhs(scenario.fields),
+        solver = DOP853(stirapkit.propagation._LinearRhs(scenario.fields),
                         -4.0, ground_state(scenario.system).components, 5.0,
                         rtol=1e-12, atol=1e-12, max_step=0.25)
         sampled = 0
@@ -529,7 +543,7 @@ class TestDop853Oracle:
 class TestBatchedStages:
     """``solve_ivp`` evaluates the package's own right-hand side by its parts.
 
-    Handed ``_make_rhs(fields)``, the loop computes a step's stage envelopes
+    Handed ``_LinearRhs(fields)``, the loop computes a step's stage envelopes
     in one ``np.exp`` call and writes each stage's product into its K row;
     any other callable is called once per stage.  Both give the same bits.
     """
@@ -544,7 +558,7 @@ class TestBatchedStages:
             atol=rtol, max_step=max_step * fields.width, t_eval=times)
 
     def assert_same_as_plain(self, fields, **options):
-        rhs = stirapkit.propagation._make_rhs(fields)
+        rhs = stirapkit.propagation._LinearRhs(fields)
         batched = self.solve(fields, rhs, **options)
         plain = self.solve(fields, lambda t, y: rhs(t, y), **options)
         assert batched.success and plain.success
@@ -565,6 +579,37 @@ class TestBatchedStages:
         # step recomputes its envelopes for the new step size
         _, fields = named_system_and_fields("fig2")
         self.assert_same_as_plain(fields, rtol=1e-12, max_step=math.inf)
+
+    @staticmethod
+    def rejected_steps(fields, rtol, max_step):
+        """Steps that scipy's own DOP853 loop retries on ``fields``."""
+        from scipy.integrate import DOP853
+        width = fields.width
+        psi0 = np.zeros(fields.coupling_stack.shape[-1], dtype=complex)
+        psi0[0] = 1.0
+        solver = DOP853(stirapkit.propagation._LinearRhs(fields), -4.0 * width,
+                        psi0, 5.0 * width, rtol=rtol, atol=rtol,
+                        max_step=max_step * width)
+        rejected = 0
+        while solver.status == "running":
+            before = solver.nfev
+            solver.step()
+            rejected += (solver.nfev - before) // 12 - 1
+        return rejected
+
+    @pytest.mark.parametrize("case", ["seed71", "seed72", "seed75-6x2",
+                                      "seed73-4x4", "seed74-4x4"])
+    @pytest.mark.parametrize("rtol, max_step", [(1e-10, 0.25),
+                                                (1e-12, math.inf)])
+    def test_complex_couplings_equal_the_plain_callable(self, case, rtol,
+                                                        max_step):
+        # fig2-fig5 have real couplings, so a conjugation slip on one path
+        # cannot show there; these seeded designs are complex, with M < N
+        # and M = N, and each setting makes the controller retry steps
+        _, fields = named_system_and_fields(case)
+        assert np.iscomplex(fields.peak_rabi_stokes).all()
+        assert self.rejected_steps(fields, rtol, max_step) > 0
+        self.assert_same_as_plain(fields, rtol=rtol, max_step=max_step)
 
     def test_propagate_takes_the_batched_path(self, monkeypatch):
         # the scalar envelopes are left to the edge check, the first f and
@@ -631,7 +676,7 @@ class TestSolveIvpBuffers:
             y0 = ground_state(system).components
         times = fields.width * np.linspace(-4.0, 5.0, 901)
         return stirapkit.propagation.solve_ivp(
-            stirapkit.propagation._make_rhs(fields), (times[0], times[-1]),
+            stirapkit.propagation._LinearRhs(fields), (times[0], times[-1]),
             y0, method="DOP853", rtol=1e-10, atol=1e-10,
             max_step=0.25 * fields.width, t_eval=times)
 

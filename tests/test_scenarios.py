@@ -2,10 +2,12 @@
 
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import random
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import jsonschema
@@ -13,8 +15,8 @@ import numpy as np
 import pytest
 
 import stirapkit.scenarios
-from stirapkit import (DesignError, ScenarioError, TargetSpec, Trajectory,
-                       builtin_names, builtin_scenario, config_hash,
+from stirapkit import (DesignError, ScenarioError, SystemSpec, TargetSpec,
+                       Trajectory, builtin_names, builtin_scenario, config_hash,
                        load_scenario, run, scenario_to_dict, sweep,
                        write_trajectory_csv)
 from stirapkit.scenarios import (SCENARIO_SCHEMA, Bounds, DesignRequest,
@@ -547,6 +549,29 @@ def test_builtin_config_hash_pinned(name):
     assert config_hash(builtin_scenario(name)) == BUILTIN_HASHES[name]
 
 
+# A seeded complex design with N = 5, M = 3 and a complex target, saved in
+# canonical form.  fig2-fig5 have real couplings, so a conjugation slip on a
+# complex path cannot move their bytes; this file's run pins them.
+COMPLEX_SCENARIO = Path(__file__).parent / "data" / "complex-n5-m3.json"
+COMPLEX_SUMMARY_SHA256 = ("e6bfa9df2f9eb4762b025efbd5f90f510d6ddb6947f9c58b34d02"
+                          "72c7ffd4969")
+COMPLEX_CSV_SHA256 = ("7b580c3d75ba561116d191ba577f9f32e82413d3cb3d67267e1b27b84"
+                      "bbcc80f")
+
+
+def test_complex_scenario_bytes_pinned(tmp_path):
+    scenario = load_scenario(COMPLEX_SCENARIO)
+    assert scenario.system.n_degenerate < scenario.system.n_intermediate
+    assert np.iscomplex(scenario.fields.peak_rabi_stokes).all()
+    assert np.iscomplex(scenario.target.coefficients).all()
+    record, _ = run(scenario, out_dir=tmp_path)
+    assert record.bounds_ok
+    summary = json.dumps(record.summary_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(summary).hexdigest() == COMPLEX_SUMMARY_SHA256
+    csv = (tmp_path / "complex-n5-m3.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == COMPLEX_CSV_SHA256
+
+
 class TestCanonicalForm:
     """``scenario_to_dict`` writes a document ``load_scenario`` reads back."""
 
@@ -622,6 +647,49 @@ class TestIntegersHashLikeFloats:
         assert all(type(getattr(bounds, f.name)) is float
                    for f in dataclasses.fields(bounds))
         assert Bounds(max_p_x=1).max_p_y is None
+
+    @staticmethod
+    def fig2_with_float_integers(edit):
+        """fig2's canonical form with some integer fields written as floats.
+
+        The override entries restate fig2's own values, so the scenario is
+        fig2's whatever the edit.
+        """
+        raw = scenario_to_dict(builtin_scenario("fig2"))
+        if edit in ("counts", "all"):
+            raw["system"]["n_intermediate"] = 7.0
+            raw["system"]["n_degenerate"] = 7.0
+        overrides = []
+        if edit in ("pump-k", "all"):
+            overrides.append({"pulse": "pump", "k": 1.0, "value": 60.0})
+        if edit in ("stokes-k-j", "all"):
+            overrides.append({"pulse": "stokes", "k": 1.0, "j": 2.0,
+                              "value": 15.0})
+        if overrides:
+            raw["overrides"] = overrides
+        return raw
+
+    @pytest.mark.parametrize("edit", ["counts", "pump-k", "stokes-k-j"])
+    def test_float_counts_and_indices_load_as_fig2(self, edit):
+        scenario = load_scenario_from(self.fig2_with_float_integers(edit))
+        assert type(scenario.system.n_intermediate) is int
+        assert type(scenario.system.n_degenerate) is int
+        assert config_hash(scenario) == BUILTIN_HASHES["fig2"]
+
+    def test_float_counts_and_indices_run_as_fig2(self, tmp_path):
+        from test_imports import FIG2_CSV_SHA256
+        raw = self.fig2_with_float_integers("all")
+        record, _ = run(load_scenario_from(raw), out_dir=tmp_path)
+        assert record.config_hash == BUILTIN_HASHES["fig2"]
+        csv = (tmp_path / "fig2.csv").read_bytes()
+        assert hashlib.sha256(csv).hexdigest() == FIG2_CSV_SHA256
+
+    @pytest.mark.parametrize("counts", [(7.5, 7), (7, 7.5), ("7", 7)])
+    def test_non_integral_counts_rejected(self, counts):
+        from stirapkit import SystemSpec
+        n, m = counts
+        with pytest.raises(ValueError, match="must be a whole number"):
+            SystemSpec(n, m, np.ones(7), np.ones((7, 7)))
 
     @pytest.mark.parametrize("block, key", [
         ("fields", "width"), ("propagation", "t_start"),
