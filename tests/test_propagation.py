@@ -517,6 +517,36 @@ class TestDop853Oracle:
         scenario = builtin_scenario("fig2")
         self.assert_same(*self.both(scenario.system, scenario.fields))
 
+    # fig2-fig5 have real couplings; these seeded designs are complex, one
+    # with M < N and one with M = N
+    COMPLEX_CASES = ["seed71", "seed73-4x4"]
+
+    @pytest.mark.parametrize("case", COMPLEX_CASES)
+    @pytest.mark.parametrize("block", [1, 3, 128])
+    def test_complex_designs_at_every_block_size(self, monkeypatch, case,
+                                                 block):
+        monkeypatch.setattr(stirapkit.propagation, "_DENSE_BLOCK", block)
+        system, fields = named_system_and_fields(case)
+        assert np.iscomplex(fields.peak_rabi_stokes).all()
+        self.assert_same(*self.both(system, fields))
+
+    @pytest.mark.parametrize("case", COMPLEX_CASES)
+    def test_complex_designs_with_many_samples_per_step(self, case):
+        system, fields = named_system_and_fields(case)
+        ours, theirs = self.both(system, fields, n_samples=90_001)
+        self.assert_same(ours, theirs)
+        # more than 40 samples per step on average, as in
+        # test_many_samples_per_step
+        assert 90_001 / (ours.nfev / 12) > 40
+
+    @pytest.mark.parametrize("case", COMPLEX_CASES)
+    def test_complex_designs_with_rejected_steps(self, case):
+        # no step cap and a tight tolerance: scipy's loop retries steps
+        system, fields = named_system_and_fields(case)
+        assert TestBatchedStages.rejected_steps(fields, 1e-12, math.inf) > 0
+        self.assert_same(*self.both(system, fields, rtol=1e-12,
+                                    max_step=math.inf))
+
     @pytest.mark.parametrize("block", [128, 3])
     def test_failure_partway_keeps_the_samples_reached(self, monkeypatch,
                                                        block):
