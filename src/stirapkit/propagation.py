@@ -10,11 +10,12 @@ coefficients, so samples and RHS counts equal scipy's bit for bit;
 ``TestDop853Oracle`` in ``tests/test_propagation.py`` compares the tableau and
 the results with the installed scipy.
 
-The dense output that gives the samples is recorded per step but evaluated
-per block: a step that holds samples keeps its seventh-order polynomial, and
-one Horner pass evaluates the polynomials of up to 128 such steps over all of
-their samples at once, with scipy's operations in scipy's order.  The block
-is a fixed buffer, so memory does not grow with the run's length.
+The dense output that gives the samples is recorded per step but formed
+and evaluated per block: a step that holds samples keeps its 16 stage rows
+and its two end states, and one flush forms the seventh-order polynomials of
+up to 128 such steps and evaluates them in one Horner pass over all of their
+samples, with scipy's operations in scipy's order.  The block is a fixed
+buffer, so memory does not grow with the run's length.
 
 The right-hand side reuses the factorization of the Hamiltonian into two
 constant Hermitian blocks times scalar Gaussian envelopes: the field set's
@@ -66,7 +67,7 @@ DEFAULT_MAX_STEP = 0.25  # units of the pulse width
 
 # Most output samples one run may ask for: the window over the stride.  The
 # built-in scenarios take 900; a million samples of a 15-level state already
-# hold 240 MB of amplitudes.
+# hold 240 MB of amplitudes.  An explicit max_step may ask for no more steps.
 MAX_SAMPLES = 1_000_000
 
 # Farthest window edge, in pulse widths.  The envelopes square the time over
@@ -115,6 +116,12 @@ class PropagationConfig:
                              "(100 machine epsilons, the integrator's floor)")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
+        # checked before any step is taken: a step cap far below the window
+        # would otherwise run for hours
+        if (self.max_step is not None
+                and (self.t_end - self.t_start) / self.max_step > MAX_SAMPLES):
+            raise ValueError(f"max_step asks for more than {MAX_SAMPLES:,} "
+                             "steps across the window")
         if self.output_stride <= 0:
             raise ValueError("output_stride must be positive")
         if (self.t_end - self.t_start) / self.output_stride > MAX_SAMPLES:
@@ -183,7 +190,9 @@ def _sample_times(config: PropagationConfig, width: float) -> np.ndarray:
 
     A finite window times a huge finite width can overflow; the integrator
     would then step on NaN times without end.  Times a tiny width, such as
-    5e-324, neighbouring samples round to the same float.
+    5e-324, neighbouring samples round to the same float; times a subnormal
+    one, such as 1e-320, they stay apart but round to multiples of 5e-324,
+    so the grid is no longer even.
     """
     span = config.t_end - config.t_start
     n_steps = max(1, int(np.ceil(span / config.output_stride - 1e-9)))
@@ -197,6 +206,11 @@ def _sample_times(config: PropagationConfig, width: float) -> np.ndarray:
         raise ValueError("sample times are not strictly increasing: the "
                          f"pulse width {width:g} is too small for the "
                          f"output stride {config.output_stride:g}")
+    tiny = np.finfo(float).tiny
+    if ((times != 0) & (np.abs(times) < tiny)).any():
+        raise ValueError(f"sample times fall below {tiny:g}, the smallest "
+                         f"normal float: the pulse width {width:g} is too "
+                         f"small for the output stride {config.output_stride:g}")
     return times
 
 
@@ -379,17 +393,19 @@ _DENSE_BLOCK = 128
 class _DenseBlock:
     """DOP853's dense output over up to ``_DENSE_BLOCK`` steps, evaluated together.
 
-    Each entry keeps what scipy's ``Dop853DenseOutput`` keeps of one step:
-    its start ``t_old``, length ``h``, starting state ``y_old`` and seven
-    coefficient rows ``F``, plus how many samples the step holds.  The
-    pending samples are ``times[first:end]``, written into ``out[first:end]``.
+    Each entry keeps what scipy's ``Dop853DenseOutput`` is built from for
+    one step: its start ``t_old``, length ``h``, starting state ``y_old``,
+    end state ``y`` and 16 stage rows ``K``, plus how many samples the step
+    holds.  The pending samples are ``times[first:end]``, written into
+    ``out[first:end]``.
     """
 
-    def __init__(self, out: np.ndarray, times: np.ndarray, n_rows: int):
+    def __init__(self, out: np.ndarray, times: np.ndarray, n_stages: int):
         n = out.shape[1]
         self.out, self.times = out, times
-        self.F = np.empty((n_rows, _DENSE_BLOCK, n), dtype=complex)
+        self.K = np.empty((_DENSE_BLOCK, n_stages, n), dtype=complex)
         self.y_old = np.empty((_DENSE_BLOCK, n), dtype=complex)
+        self.y = np.empty((_DENSE_BLOCK, n), dtype=complex)
         self.t_old = np.empty(_DENSE_BLOCK)
         self.h = np.empty(_DENSE_BLOCK)
         self.counts = np.empty(_DENSE_BLOCK, dtype=np.intp)
@@ -397,40 +413,52 @@ class _DenseBlock:
         self.first = self.end = 0
 
     def record(self, t_old: float, h: float, y_old: np.ndarray,
-               count: int) -> np.ndarray:
-        """Add a step holding the next ``count`` samples; returns its ``F`` rows.
+               y: np.ndarray, K: np.ndarray, count: int) -> None:
+        """Add a step holding the next ``count`` samples; copies its rows.
 
-        A full block is evaluated first.  The caller fills the rows.
+        A full block is evaluated first.
         """
         if self.size == _DENSE_BLOCK:
             self.flush()
         j = self.size
+        self.K[j] = K
         self.y_old[j] = y_old
+        self.y[j] = y
         self.t_old[j] = t_old
         self.h[j] = h
         self.counts[j] = count
         self.size = j + 1
         self.end += count
-        return self.F[:, j]
 
     def flush(self) -> None:
         """Write the pending samples into ``out`` and empty the block.
 
-        Every sample gets the operations of scipy's ``Dop853DenseOutput`` in
-        the same order, on the rows of its own step gathered first, so the
-        same bits.
+        The seven coefficient rows ``F`` of every pending step are formed
+        at once, then one Horner pass evaluates them over all of the
+        samples, each sample on the rows of its own step gathered first.
+        Both do the operations of scipy's ``Dop853DenseOutput`` in the same
+        order, so every sample has the same bits.
         """
         k = self.size
+        h, K, y_old = self.h[:k, None], self.K[:k], self.y_old[:k]
+        F = np.empty((3 + len(D), k, K.shape[-1]), dtype=complex)
+        delta_y = np.subtract(self.y[:k], y_old, out=F[0])
+        # K row 0 is f at the step's start, row len(A) + 1 f at its end
+        F[1] = h * K[:, 0] - delta_y
+        F[2] = 2 * delta_y - h * (K[:, len(A) + 1] + K[:, 0])
+        # each item of the stack is the (4, 16) by (16, n) product D.dot(K)
+        F[3:] = (h[:, None] * np.matmul(D, K)).swapaxes(0, 1)
+
         ys = self.out[self.first:self.end]
         step = np.repeat(np.arange(k), self.counts[:k])
         x = ((self.times[self.first:self.end] - self.t_old[step])
              / self.h[step])[:, None]
         one_minus_x = 1 - x
         ys.fill(0)
-        for i, F_i in enumerate(self.F[::-1, :k]):
+        for i, F_i in enumerate(F[::-1]):
             ys += F_i[step]
             ys *= x if i % 2 == 0 else one_minus_x
-        ys += self.y_old[step]
+        ys += y_old[step]
         self.size = 0
         self.first = self.end
 
@@ -450,13 +478,15 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     ``tests/test_propagation.py::TestDop853Oracle`` pins that.
 
     A step that holds samples runs the three dense-output stages at once, as
-    scipy does, so the RHS calls come in scipy's order; its polynomial is
-    only recorded, in a :class:`_DenseBlock` of ``_DENSE_BLOCK`` steps.  A
-    full block, the end of the run and a failure each evaluate the pending
-    polynomials in one Horner pass over all of their samples.  That saves
-    about 20 numpy calls per sampled step.  The block holds
-    ``8 * _DENSE_BLOCK`` state-sized rows however long the run is, and a
-    pass's temporaries are the size of its own samples' rows.
+    scipy does, so the RHS calls come in scipy's order; its 16 K rows and
+    end states are only copied into a :class:`_DenseBlock` of
+    ``_DENSE_BLOCK`` steps, and the loop forms no polynomial coefficient.  A
+    full block, the end of the run and a failure each form the pending
+    steps' coefficients at once and evaluate them in one Horner pass over
+    all of their samples.  That saves about 30 numpy calls per sampled
+    step.  The block holds ``18 * _DENSE_BLOCK`` state-sized rows however
+    long the run is; a flush's temporaries are seven coefficient rows per
+    pending step and the size of its own samples' rows.
 
     Every right-hand-side evaluation after the first two (f at the start
     and the starting step's probe) goes through one stage routine, given a
@@ -540,7 +570,9 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     def evaluate(table, t_start, y_start, h):
         """Fill the K rows of ``table``'s entries for the step h from y_start.
 
-        Returns the number of RHS evaluations.
+        Returns the number of RHS evaluations.  Each ``dot`` takes its
+        output buffer positionally: the ``out=`` keyword costs about
+        0.03 us more per call.
         """
         nodes, envelopes_re, table_entries = table
         h_array[()] = h
@@ -548,14 +580,14 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
             envelopes_re[...] = envelope_pairs(
                 [t_start + c * h for c in nodes], width)
         for K_s, a, c, K_row, y_s, e in table_entries:
-            K_s.dot(a, out=y_s)
+            K_s.dot(a, y_s)
             y_s *= h_array
             y_s += y_start
             if linear is None:
                 K_row[...] = fun(t_start + c * h, y_s)
             else:
-                blocks.dot(y_s, out=products)
-                pairs.dot(e, out=K_row)
+                blocks.dot(y_s, products)
+                pairs.dot(e, K_row)
         return len(table_entries)
 
     # the error estimates' buffer and its float views, and the error scale
@@ -564,7 +596,7 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     scale = np.empty(n)
 
     # sampled steps whose dense output is not evaluated yet
-    block = _DenseBlock(out, samples, 3 + len(D))
+    block = _DenseBlock(out, samples, len(K))
 
     # f, the derivative at the current state, lives in K_last: the new
     # state's entry writes it there, and a step starts by copying it into
@@ -595,10 +627,10 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
             np.maximum(abs_y, abs_y_new, out=scale)
             scale *= rtol
             scale += atol
-            K_T.dot(E5, out=err)
+            K_T.dot(E5, err)
             err /= scale
             err5 = _squared_norm(err_re, err_im)
-            K_T.dot(E3, out=err)
+            K_T.dot(E3, err)
             err /= scale
             err3 = _squared_norm(err_re, err_im)
             if err5 == 0 and err3 == 0:
@@ -627,15 +659,10 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
         if i_end == i_sample:
             continue
 
-        # dense output over the step: three more stages, then its Horner
-        # coefficients, recorded for the block's evaluation
+        # dense output over the step: three more stages, then the step's
+        # rows, recorded for the block's evaluation
         nfev += evaluate(dense, t_old, y_old, h)
-        F = block.record(t_old, h, y_old, i_end - i_sample)
-        delta_y = y - y_old
-        F[0] = delta_y
-        F[1] = h * K_first - delta_y
-        F[2] = 2 * delta_y - h * (K_last + K_first)
-        F[3:] = h * D.dot(K)
+        block.record(t_old, h, y_old, y, K, i_end - i_sample)
         i_sample = i_end
     block.flush()
     return _Solution(True, FINISHED, out.T, nfev)

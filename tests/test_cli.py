@@ -174,6 +174,36 @@ def test_tiny_width_names_the_width(runner, tmp_path, monkeypatch):
         "pulse width 4.94066e-324 is too small for the output stride 0.05\n")
 
 
+def test_subnormal_width_names_the_width(runner, tmp_path, monkeypatch):
+    # at width 1e-320 the sample times stay apart but lose their even
+    # spacing: one error line before the integrator, not a run that exits 2
+    monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                        unreachable_solve_ivp)
+    raw = mini_dict(fields={"peak_rabi_pump": [60.0],
+                            "peak_rabi_stokes": [[60.0]], "width": 1e-320})
+    result = runner.invoke(main, ["run", write_scenario(tmp_path, raw)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output == (
+        "error: propagation: sample times fall below 2.22507e-308, the "
+        "smallest normal float: the pulse width 9.99989e-321 is too small "
+        "for the output stride 0.05\n")
+
+
+def test_tiny_max_step_exits_1(runner, tmp_path, monkeypatch):
+    # a step cap of 1e-9 widths needs 9e9 steps: one error line at load,
+    # not a run that never ends
+    monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                        unreachable_solve_ivp)
+    raw = mini_dict(propagation={"stride": 0.05, "max_step": 1e-9})
+    result = runner.invoke(main, ["run", write_scenario(tmp_path, raw)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+    assert "max_step asks for more than 1,000,000 steps" in result.output
+    assert len(result.output.splitlines()) == 1
+
+
 def test_huge_width_numerical_failure_prints_no_warning(runner, tmp_path):
     # a finite sample grid, but trial steps that overflow: exit 4 with the
     # integrator's message and nothing from numpy

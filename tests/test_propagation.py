@@ -49,6 +49,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_step must be positive"):
             PropagationConfig(max_step=0)
 
+    def test_explicit_max_step_count_capped(self):
+        # a step cap that needs 9e9 steps across the window is bad input,
+        # not a run that never ends; no cap keeps the default of 0.25
+        with pytest.raises(ValueError) as got:
+            PropagationConfig(max_step=1e-9)
+        assert str(got.value) == ("max_step asks for more than 1,000,000 "
+                                  "steps across the window")
+        with pytest.raises(ValueError, match="max_step asks for more"):
+            PropagationConfig(t_start=-4.0, t_end=5.0, max_step=8e-6)
+        PropagationConfig(t_start=-4.0, t_end=5.0, max_step=1e-5)
+        assert PropagationConfig(t_start=-1e150, t_end=5.0,
+                                 output_stride=1e148).max_step is None
+
     def test_rel_tol_floor(self):
         # the integrator's own floor is 100 machine epsilons
         floor = 100 * np.finfo(float).eps
@@ -328,6 +341,31 @@ def test_collapsing_sample_times_rejected(monkeypatch):
     assert str(got.value) == ("sample times are not strictly increasing: the "
                               "pulse width 4.94066e-324 is too small for the "
                               "output stride 0.01")
+
+
+@pytest.mark.parametrize("width", [1e-320, 1e-310])
+def test_subnormal_sample_times_rejected(monkeypatch, width):
+    # strictly increasing, but each time rounds to a multiple of 5e-324, so
+    # the grid is uneven: rejected before the integrator, naming the width
+    monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                        unreachable_solve_ivp)
+    system = SystemSpec(1, 1, [1.0], [[1.0]])
+    fields = FieldSet([60.0], [[60.0]], width)
+    with pytest.raises(ValueError) as got:
+        propagate(system, fields, ground_state(system))
+    assert str(got.value) == (
+        "sample times fall below 2.22507e-308, the smallest normal float: "
+        f"the pulse width {width:g} is too small for the output stride 0.01")
+
+
+def test_smallest_normal_sample_times_accepted(monkeypatch):
+    # at width 1e-300 every nonzero sample time is a normal float
+    monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                        unreachable_solve_ivp)
+    system = SystemSpec(1, 1, [1.0], [[1.0]])
+    fields = FieldSet([60.0], [[60.0]], 1e-300)
+    with pytest.raises(AssertionError, match="integrator was called"):
+        propagate(system, fields, ground_state(system))
 
 
 def test_trajectory_exposes_states_not_a_final_state():
