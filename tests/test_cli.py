@@ -204,6 +204,35 @@ def test_tiny_max_step_exits_1(runner, tmp_path, monkeypatch):
     assert len(result.output.splitlines()) == 1
 
 
+def test_wide_window_exits_1(runner, monkeypatch):
+    # about 100 samples, but 4e8 steps of the default 0.25 widths: one
+    # error line at load, not a run that never ends
+    monkeypatch.setattr(stirapkit.propagation, "solve_ivp",
+                        unreachable_solve_ivp)
+    result = runner.invoke(main, ["run", "fig2", "--window", "-1e8", "5",
+                                  "--stride", "1e6"])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output == ("error: propagation config: the window "
+                             "[-1e+08, 5] needs more than 1,000,000 steps of "
+                             "0.25 widths\n")
+
+
+def test_loose_tolerances_fail_without_warnings(runner, tmp_path):
+    # tolerances of 1 let the state blow up; its populations overflow, and
+    # the run is one numerical-failure line with nothing from numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = runner.invoke(main, ["run", "fig2", "--rel-tol", "1",
+                                      "--abs-tol", "1", "--out",
+                                      str(tmp_path)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 4, result.output
+    assert result.output == ("numerical failure: norm drifted by inf "
+                             "(tolerance 1.0e+01); tighten the integration "
+                             "tolerances\n")
+
+
 def test_huge_width_numerical_failure_prints_no_warning(runner, tmp_path):
     # a finite sample grid, but trial steps that overflow: exit 4 with the
     # integrator's message and nothing from numpy

@@ -94,6 +94,50 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             PropagationConfig(**{setting: bad})
 
+    def test_default_step_count_capped(self):
+        # with no max_step, the default cap of 0.25 widths may ask for no
+        # more steps than an explicit one: this window needs 4e8 of them
+        with pytest.raises(ValueError) as got:
+            PropagationConfig(t_start=-1e8, t_end=5.0, output_stride=1e6)
+        assert str(got.value) == ("the window [-1e+08, 5] needs more than "
+                                  "1,000,000 steps of 0.25 widths")
+        with pytest.raises(ValueError, match="needs more than 1,000,000"):
+            PropagationConfig(t_start=-4.0, t_end=249_996.5, output_stride=1.0)
+        PropagationConfig(t_start=-4.0, t_end=249_996.0, output_stride=1.0)
+        # a start 2**47 widths out is still reached step by step
+        with pytest.raises(ValueError, match="needs more than 1,000,000"):
+            PropagationConfig(t_start=-2.0 ** 47, t_end=5.0,
+                              output_stride=2.0 ** 40)
+
+    @pytest.mark.parametrize("width", [1.0, 1.5, 1.999, 3e-3, 7e5])
+    @pytest.mark.parametrize("t_start", [-2.0 ** 48, -1.5 * 2.0 ** 48, -1e20])
+    def test_start_past_the_step_cap_fails_in_the_integrator(self, t_start,
+                                                             width):
+        # ten float spacings at the start exceed twice the cap, so the
+        # window is accepted, and at any width the integrator's smallest
+        # step outgrows the cap by its second step
+        cfg = PropagationConfig(t_start=t_start, t_end=5.0,
+                                output_stride=-t_start / 100)
+        assert cfg.max_step is None
+        calls = []
+        original = stirapkit.propagation.solve_ivp
+
+        def solve_ivp(fun, *args, **kwargs):
+            def counted(t, y):
+                calls.append(t)
+                return fun(t, y)
+            return original(counted, *args, **kwargs)
+
+        system, fields = three_level()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stirapkit.propagation, "solve_ivp", solve_ivp)
+            with pytest.raises(PropagationError, match="Required step size"):
+                propagate(system, fields.with_width(width),
+                          ground_state(system), cfg)
+        # f and the starting step's probe, then at most one trial step and
+        # its dense output
+        assert len(calls) <= 2 + 12 + 3
+
 
 class TestRightHandSide:
     @pytest.mark.parametrize("case", ["random-n5-m3", "fig4"])
@@ -487,6 +531,16 @@ class TestDop853Oracle:
             assert t == t_ref
             assert np.array_equal(y, y_ref)
 
+    @pytest.mark.parametrize("block", [1, 3, 128])
+    def test_complex_stage_inputs_equal_scipys(self, monkeypatch, block):
+        # a plain callable's dense-output stages run when their step is
+        # recorded, so a complex design's calls come in scipy's order
+        # whether a block holds one step or many
+        monkeypatch.setattr(stirapkit.propagation, "_DENSE_BLOCK", block)
+        _, fields = named_system_and_fields("seed71")
+        assert np.iscomplex(fields.peak_rabi_stokes).all()
+        self.test_stage_inputs_equal_scipys("seed71")
+
     def test_rejected_steps(self):
         # no step cap and a tight tolerance: the controller rejects steps
         from scipy.integrate import DOP853
@@ -701,6 +755,71 @@ class TestBatchedStages:
         # one call per trial step and one per sampled step's dense output
         assert 17_471 // 12 < len(batched) < 17_471 // 6
         assert sum(len(times) for times, _ in batched) < 17_471
+
+
+class TestStackedSquaredSums:
+    """The error norm's four squared sums come from one stacked ``np.matmul``.
+
+    ``solve_ivp`` writes its two error estimates into the rows of one (2, n)
+    complex buffer and takes re·re and im·im of each row as the items of a
+    (2, 2, 1, n) by (2, 2, n, 1) product of its float view.  Each item is the
+    ``ddot`` call that ``np.linalg.norm`` makes, so ``sqrt(re + im) ** 2``
+    equals ``np.linalg.norm(row) ** 2`` bit for bit.
+    """
+
+    @staticmethod
+    def stacked(err):
+        """re·re and im·im of each row of the (2, n) complex ``err``."""
+        parts = err.view(float).reshape(2, -1, 2).swapaxes(1, 2)
+        return np.matmul(parts[:, :, None], parts[..., None]).reshape(2, 2)
+
+    @staticmethod
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    # overflowing rows warn, as they do not inside solve_ivp
+    @np.errstate(over="ignore", invalid="ignore")
+    def assert_equal_to_norm(self, err):
+        err = np.ascontiguousarray(err, dtype=complex)
+        assert err.shape[0] == 2
+        for row, (re, im) in zip(err, self.stacked(err).tolist()):
+            real, imag = row.real, row.imag
+            assert self.bits(re) == self.bits(real.dot(real))
+            assert self.bits(im) == self.bits(imag.dot(imag))
+            ours = math.sqrt(re + im) ** 2
+            theirs = np.linalg.norm(row) ** 2
+            if math.isnan(theirs):
+                assert math.isnan(ours)
+            else:
+                assert self.bits(ours) == self.bits(theirs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 13, 15, 16, 31, 64,
+                                   257])
+    def test_random_rows(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(100):
+            scales = 10.0 ** rng.uniform(-30, 30, size=(2, 1))
+            self.assert_equal_to_norm(scales * crandn(rng, 2, n))
+
+    @pytest.mark.parametrize("row", [
+        [0.0, 0.0, 0.0],
+        [-0.0, 0.0j, -0.0j],
+        [5e-324, 1e-310j, 2e-308 + 3e-320j],
+        [1e-160, 1e-170j, 1.0],
+        [1e200, 1.0, 1.0],
+        [1e160j, 1e160, 1e-300],
+        [math.inf, 1.0, 0.0],
+        [1.0, complex(0.0, -math.inf), 1.0],
+        [math.nan, 1.0, 1.0],
+        [1.0, complex(1.0, math.nan), 1e300],
+        [math.inf, math.nan, 0.0]],
+        ids=["zero", "signed-zero", "subnormal", "underflow", "overflow",
+             "overflow-sum", "inf", "inf-imag", "nan", "nan-imag", "inf-nan"])
+    def test_special_rows(self, row):
+        rng = np.random.default_rng(7)
+        self.assert_equal_to_norm([row, crandn(rng, 3)])
+        self.assert_equal_to_norm([crandn(rng, 3), row])
+        self.assert_equal_to_norm([row, row])
 
 
 class TestSampleTimes:
