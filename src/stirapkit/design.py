@@ -34,8 +34,8 @@ __all__ = [
 # the units of a matrix move it.
 SINGULAR_REL_TOL = 1e-12
 
-# Effective couplings below this fraction of the largest one are treated as
-# exact zeros and trigger pump pruning.
+# Effective couplings at or below this fraction of the largest one are
+# treated as exact zeros and prune their pumps (_pruned, the one rule).
 PRUNE_REL_TOL = 1e-12
 
 # Design-condition residual threshold, relative to the largest peak amplitude.
@@ -145,13 +145,15 @@ def numerical_rank(matrix) -> int:
     return int((singular > SINGULAR_REL_TOL * singular[0]).sum())
 
 
-def _pruned_indices(effective: np.ndarray) -> frozenset[int]:
-    scale = np.abs(effective).max(initial=0.0)
-    if scale == 0.0:
-        return frozenset(range(1, effective.size + 1))
-    return frozenset(
-        int(k + 1) for k in range(effective.size)
-        if abs(effective[k]) <= PRUNE_REL_TOL * scale)
+def _pruned(effective: np.ndarray) -> np.ndarray:
+    """Mask of the channels whose effective coupling counts as zero."""
+    magnitude = np.abs(effective)
+    return magnitude <= PRUNE_REL_TOL * magnitude.max(initial=0.0)
+
+
+def _channels(mask: np.ndarray) -> frozenset[int]:
+    """The 1-based channel numbers a mask selects, as a report names them."""
+    return frozenset(int(k) + 1 for k in np.flatnonzero(mask))
 
 
 def _pivot_rows(mu: np.ndarray, count: int) -> tuple[int, ...]:
@@ -200,7 +202,8 @@ def check_feasibility(system: SystemSpec, target: TargetSpec,
     """
     n, m = system.n_intermediate, system.n_degenerate
     effective = effective_dipoles(system, target)
-    pruned = _pruned_indices(effective)
+    decoupled = _pruned(effective)
+    pruned = _channels(decoupled)
     notes: list[str] = []
 
     if m > n:
@@ -220,7 +223,7 @@ def check_feasibility(system: SystemSpec, target: TargetSpec,
         rows = ()
         notes.append("every square Stokes sub-block is singular; "
                      "the dark state cannot be pinned to the target direction")
-    if len(pruned) == n:
+    if decoupled.all():
         singular = True
         notes.append("target direction is decoupled from all intermediate states")
     if eta == 0:
@@ -243,8 +246,7 @@ def matched_pump_rabi(stokes_rabi: np.ndarray, target: TargetSpec,
     stokes_rabi = np.asarray(stokes_rabi, dtype=complex)
     effective = stokes_rabi @ target.coefficients
     pump = np.conj(eta * effective)
-    for k in _pruned_indices(effective):
-        pump[k - 1] = 0.0
+    pump[_pruned(effective)] = 0.0
     return pump
 
 
@@ -268,8 +270,7 @@ def design_fields(system: SystemSpec, target: TargetSpec, eta: complex,
         Peak field amplitude and phase of each Stokes pulse.  Phases default
         to zero.
     """
-    if eta == 0:
-        raise DesignError("eta must be nonzero")
+    # a zero eta is infeasible too, with the note "eta must be nonzero"
     report = check_feasibility(system, target, eta)
     if not report.feasible:
         raise DesignError("; ".join(report.notes) or "design infeasible")
@@ -309,13 +310,12 @@ def verify_design(system: SystemSpec, fields: FieldSet,
 
     effective = fields.peak_rabi_stokes @ target.coefficients
     pump_conj = np.conj(fields.peak_rabi_pump)
-    pruned = _pruned_indices(effective)
-    live = np.array([k - 1 for k in range(1, effective.size + 1) if k not in pruned],
-                    dtype=int)
+    live = ~_pruned(effective)
+    pruned = _channels(~live)
     scale = fields.max_rabi
     tol = VERIFY_REL_TOL * scale if scale > 0 else VERIFY_REL_TOL
 
-    if live.size == 0:
+    if not live.any():
         # target decoupled everywhere: the condition degenerates to "no pumps"
         residual = float(np.abs(pump_conj).max(initial=0.0))
         return VerifyResult(bool(residual < tol), residual, 0.0j, pruned)

@@ -162,13 +162,15 @@ def numeric_null_space(h: np.ndarray, tol: float | None = None,
     is kept deliberately independent of it.  ``tol`` is the absolute
     singular-value cutoff; by default it is 1e-9 times the largest singular
     value (callers with field data in hand may prefer 1e-9 times the peak
-    Rabi amplitude).
+    Rabi amplitude).  ``h`` must equal its conjugate transpose to within
+    1e-12 times its largest entry, or ValueError is raised.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
-    if not np.allclose(h, h.conj().T, rtol=0,
-                       atol=1e-12 * max(1.0, np.abs(h).max())):
+    # relative to the largest entry, as numerical_rank is, so that no scale
+    # of h lets a non-Hermitian matrix through
+    if not np.allclose(h, h.conj().T, rtol=0, atol=1e-12 * np.abs(h).max()):
         raise ValueError("expected a Hermitian matrix")
     _, singular, vh = np.linalg.svd(h)
     if tol is None:
@@ -562,12 +564,15 @@ def converged_max_coupling(tracks_for, t_start: float, t_end: float,
     ``tracks_for(grid)`` must return the pair of tracks on the given grid.
     The coupling is a derivative quantity, so the grid is refined (points
     doubled) until the maximum changes by less than ``COUPLING_REL_CHANGE``
-    of itself or the change falls below ``atol``.  Each grid is tracked
-    once: the first has ``2 * n_points - 1`` points, and every other point
-    of its tracks gives the ``n_points`` estimate it is compared with; each
-    finer grid contains the one before and is compared with its maximum.
-    Returns ``(chi_max, points_used, converged)``, ``points_used`` being the
-    size of the last grid tracked.  A NaN coupling anywhere on a grid makes
+    of itself or the change falls below ``atol``.  ``atol`` is absolute, in
+    units of 1/time, like the coupling: the default 1e-15 is meant for a
+    unit pulse width, and callers at other widths pass theirs scaled by
+    1/width.  Each grid is tracked once: the first has ``2 * n_points - 1``
+    points, and every other point of its tracks gives the ``n_points``
+    estimate it is compared with; each finer grid contains the one before
+    and is compared with its maximum.  Returns
+    ``(chi_max, points_used, converged)``, ``points_used`` being the size of
+    the last grid tracked.  A NaN coupling anywhere on a grid makes
     its maximum NaN, which can never converge, so refinement stops there
     with ``(nan, points_used, False)``.  Raises ValueError unless
     ``n_points`` is at least 3 and the window gives a finite, strictly

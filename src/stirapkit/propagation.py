@@ -25,16 +25,19 @@ the two envelope values.  Both are ``ndarray.dot`` calls, not ``@``: ``@`` is
 numpy's matmul generalized ufunc, whose dispatch costs about 0.4 us more per
 call than ``dot`` reaching the same BLAS routine, with the same bits.
 
-The step loop's right-hand-side evaluations go through one stage routine
-in ``solve_ivp``.  Any callable ``fun(t, y)`` is called once per stage; the
-package's own right-hand side, a ``_LinearRhs``, is evaluated by its parts
-instead: once a step has its size h it knows every node t + c*h, so one
-``np.exp`` call gives the envelopes of all of them
-(:func:`~stirapkit.model.envelope_pairs`), and each stage writes its
-contraction straight into its row of the stage matrix.  Its dense-output
-stages run per block, each stage of all of the block's steps as stacked
-``np.matmul`` calls whose items are a single step's products.  Either way
-the bits and the RHS count are those of one call per stage.
+Any callable ``fun(t, y)`` is called once per stage, through one stage
+routine in ``solve_ivp``.  The package's own right-hand side, a
+``_LinearRhs``, is evaluated in three places, which must stay alike.
+``_LinearRhs.__call__`` gives f at the start and the starting step's probe
+(and every value, once the object is wrapped).  The stage routine's
+batched branch runs a trial step's stages by their parts: once a step has
+its size h it knows every node t + c*h, so one ``np.exp`` call gives the
+envelopes of all of them (:func:`~stirapkit.model.envelope_pairs`), and
+each stage writes its contraction straight into its row of the stage
+matrix.  ``_DenseBlock._linear_stages`` runs the dense-output stages per
+block, each stage of all of the block's steps as stacked ``np.matmul``
+calls whose items are a single step's products.  In all three the bits and
+the RHS count are those of one call per stage.
 
 The error norm of a trial step takes the squared sums of both error
 estimates from one stacked ``np.matmul`` whose items are the ``ddot``
@@ -89,7 +92,11 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagationConfig:
-    """Integration window and accuracy knobs, in units of the pulse width."""
+    """Integration window and accuracy knobs, in units of the pulse width.
+
+    ``max_step`` None means the default cap, ``DEFAULT_MAX_STEP``; one
+    step-count rule judges the cap either way.
+    """
 
     t_start: float = -4.0
     t_end: float = 5.0
@@ -123,27 +130,32 @@ class PropagationConfig:
                              "(100 machine epsilons, the integrator's floor)")
         if self.max_step is not None and self.max_step <= 0:
             raise ValueError("max_step must be positive")
-        # checked before any step is taken: a step cap far below the window
-        # would otherwise run for hours
-        span = self.t_end - self.t_start
-        if self.max_step is not None and span / self.max_step > MAX_SAMPLES:
-            raise ValueError(f"max_step asks for more than {MAX_SAMPLES:,} "
-                             "steps across the window")
-        # The default cap is exempt only where ten float spacings at t_start
+        # One rule for the cap, written out or the default, checked before
+        # any step is taken: a cap far below the window would otherwise run
+        # for hours.  It is exempt only where ten float spacings at t_start
         # exceed twice the cap.  The integrator's smallest step is ten
         # spacings at t, and the spacing at t_start * width is at least half
         # the width times the spacing at t_start; so at any width the step
         # outgrows the cap, and the run fails by its second trial step.
-        if (self.max_step is None and span / DEFAULT_MAX_STEP > MAX_SAMPLES
-                and not 10 * math.ulp(self.t_start) > 2 * DEFAULT_MAX_STEP):
+        cap = self._step_cap
+        if ((self.t_end - self.t_start) / cap > MAX_SAMPLES
+                and not 10 * math.ulp(self.t_start) > 2 * cap):
+            if self.max_step is not None:
+                raise ValueError(f"max_step asks for more than {MAX_SAMPLES:,} "
+                                 "steps across the window")
             raise ValueError(f"the window [{self.t_start:g}, {self.t_end:g}] "
                              f"needs more than {MAX_SAMPLES:,} steps of "
-                             f"{DEFAULT_MAX_STEP:g} widths")
+                             f"{cap:g} widths")
         if self.output_stride <= 0:
             raise ValueError("output_stride must be positive")
         if (self.t_end - self.t_start) / self.output_stride > MAX_SAMPLES:
             raise ValueError(f"output_stride asks for more than {MAX_SAMPLES:,} "
                              "samples across the window")
+
+    @property
+    def _step_cap(self) -> float:
+        """Largest step, in widths: ``max_step``, or else the default."""
+        return DEFAULT_MAX_STEP if self.max_step is None else self.max_step
 
 
 @dataclass(frozen=True)
@@ -547,12 +559,16 @@ def solve_ivp(fun, t_span, y0, *, method, rtol, atol, max_step=math.inf,
     seven coefficient rows per pending step and the size of its own
     samples' rows.
 
-    Every right-hand-side evaluation after the first two (f at the start
-    and the starting step's probe) that the loop makes goes through one
-    stage routine, given a stage table and the step's start and size h.
-    Each entry forms its input state, the start plus h times its weighted K
-    rows, in its own row of one buffer made once per call, and evaluates it
-    into its K row.  A trial step runs the 11 stages and, as a 12th entry
+    The first two right-hand-side evaluations (f at the start and the
+    starting step's probe) call ``fun``.  After them, a plain callable's
+    evaluations and a ``_LinearRhs``'s trial-step stages go through one
+    stage routine, given a stage table and the step's start and size h; a
+    ``_LinearRhs``'s dense-output stages run in ``_DenseBlock``.  So a
+    ``_LinearRhs`` is evaluated in three places, which must stay alike:
+    ``_LinearRhs.__call__``, the stage routine's batched branch and
+    ``_DenseBlock._linear_stages``.  Each entry forms its input state, the
+    start plus h times its weighted K rows, in its own row of one buffer
+    made once per call, and evaluates it into its K row.  A trial step runs the 11 stages and, as a 12th entry
     with weights ``B`` and node 1.0, the new state, whose accepted value is
     copied out of its input row; a plain callable's sampled step then runs
     the 3 dense-output stages from the step's start.  The two error
@@ -783,11 +799,9 @@ def propagate(system: SystemSpec, fields: FieldSet, initial: StateVector,
             "widen the window for a clean adiabatic start",
             stacklevel=2)
 
-    max_step = (config.max_step if config.max_step is not None
-                else DEFAULT_MAX_STEP) * width
     sol = solve_ivp(_LinearRhs(fields), (times[0], times[-1]), psi0,
                     method="DOP853", rtol=config.rel_tol, atol=config.abs_tol,
-                    max_step=max_step, t_eval=times)
+                    max_step=config._step_cap * width, t_eval=times)
     if not sol.success:
         raise PropagationError(f"integration failed: {sol.message}")
     if not np.isfinite(sol.y).all():

@@ -369,6 +369,9 @@ class Scenario:
     bounds: Bounds
 
     def __post_init__(self):
+        # the label names the output files: an empty one would hide them
+        if not self.label:
+            raise ScenarioError("scenario label must not be empty")
         if (self.fields is None) == (self.design is None):
             raise ScenarioError(
                 "scenario needs exactly one of 'fields' or 'design'")

@@ -204,6 +204,19 @@ def test_tiny_max_step_exits_1(runner, tmp_path, monkeypatch):
     assert len(result.output.splitlines()) == 1
 
 
+@pytest.mark.parametrize("max_step", [None, 0.25])
+def test_far_start_exits_4_with_either_cap(runner, tmp_path, max_step):
+    # 2**48 widths out, the default cap and the same cap written out end
+    # alike: the integrator's first steps fail, as one numerical failure line
+    raw = mini_dict(propagation={"t_start": -2 ** 48, "stride": 2 ** 41,
+                                 "max_step": max_step})
+    result = runner.invoke(main, ["run", write_scenario(tmp_path, raw)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 4, result.output
+    assert result.output == ("numerical failure: integration failed: Required "
+                             "step size is less than spacing between numbers.\n")
+
+
 def test_wide_window_exits_1(runner, monkeypatch):
     # about 100 samples, but 4e8 steps of the default 0.25 widths: one
     # error line at load, not a run that never ends

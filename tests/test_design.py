@@ -374,6 +374,18 @@ class TestDesignFields:
         with pytest.raises(DesignError, match="eta"):
             design_fields(system, TargetSpec.basis(2), 0.0, 1.0, [1.0, 1.0])
 
+    def test_zero_eta_note_is_the_error(self):
+        # the report's note is the one verdict on eta; the pump former
+        # raises on its own, as it builds no report
+        rng = np.random.default_rng(30)
+        system = random_feasible_system(rng, 4, 3)
+        target = TargetSpec.basis(3)
+        with pytest.raises(DesignError) as got:
+            design_fields(system, target, 0, 1.0, np.ones(4))
+        assert str(got.value) == "eta must be nonzero"
+        with pytest.raises(DesignError, match="^eta must be nonzero$"):
+            matched_pump_rabi(system.mu_stokes, target, 0)
+
     def test_rejects_infeasible(self):
         rng = np.random.default_rng(5)
         system = SystemSpec(2, 3, crandn(rng, 2), crandn(rng, 2, 3))
@@ -430,6 +442,39 @@ class TestVerifyDesign:
         result = verify_design(system, fields)
         assert not result.ok
         assert result.pruned == frozenset({1})
+
+
+class TestPrunedChannels:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reports_and_pump_zeros_agree(self, seed):
+        # exact zeros and couplings 1e-13 of the largest are one rule's
+        # pruned channels, whichever function applies it
+        rng = np.random.default_rng(3000 + seed)
+        n = int(rng.integers(3, 7))
+        m = int(rng.integers(1, n))
+        system = random_feasible_system(rng, n, m)
+        index = int(rng.integers(1, m + 1))
+        mu = system.mu_stokes.copy()
+        column = mu[:, index - 1]
+        channels = rng.permutation(n)[:int(rng.integers(2, n))]
+        largest = np.abs(np.delete(column, channels)).max()
+        column[channels[0]] = 0.0
+        column[channels[1:]] = 1e-13 * largest * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, channels.size - 1))
+        system = SystemSpec(n, m, system.mu_pump, mu)
+        target = TargetSpec.basis(m, index)
+        expected = {int(k) + 1 for k in channels}
+
+        report = check_feasibility(system, target)
+        assert report.feasible
+        fields = design_fields(system, target, 1.0, 1.0,
+                               rng.uniform(0.5, 1.5, n))
+        verdict = verify_design(system, fields, target)
+        assert verdict.ok
+        zeros = {k + 1 for k in range(n) if fields.peak_rabi_pump[k] == 0}
+        assert report.pruned_pumps == verdict.pruned == zeros == expected
+        for named in (report.pruned_pumps, verdict.pruned):
+            assert all(type(k) is int for k in named)
 
 
 class TestDesignProperties:

@@ -174,6 +174,21 @@ class TestNumericNullSpace:
             with pytest.raises(ValueError, match="Hermitian"):
                 numeric_null_space(h)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-17, 1e-30, 1e13])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        # the bound is relative to the largest entry, as the rank rule is:
+        # a lone off-diagonal entry is far from Hermitian at any scale
+        h = scale * np.array([[0, 1e-13], [0, 0]], dtype=complex)
+        with pytest.raises(ValueError, match="Hermitian"):
+            numeric_null_space(h)
+
+    def test_basis_size_independent_of_scale(self, fig2):
+        system, fields = fig2
+        h = hamiltonian(system, fields, 0.3)
+        sizes = [len(numeric_null_space(scale * h))
+                 for scale in (1e-30, 1.0, 1e30)]
+        assert sizes == [1, 1, 1]
+
 
 class TestAnalyticLambda1:
     def test_early_time_is_initial_state(self, fig2):

@@ -138,6 +138,48 @@ class TestConfig:
         # its dense output
         assert len(calls) <= 2 + 12 + 3
 
+    @pytest.mark.parametrize("t_start, stride, accepted", [
+        (-4.0, 0.01, True), (-2.0 ** 47, 2.0 ** 40, False),
+        (-2.0 ** 48, 2.0 ** 41, True), (-1e20, 1e18, True)])
+    def test_written_out_cap_judged_like_the_default(self, t_start, stride,
+                                                     accepted):
+        # one step-count rule, float-spacing exemption included, for the
+        # default cap and for the same cap written out; each keeps its message
+        def config(max_step):
+            return PropagationConfig(t_start=t_start, t_end=5.0,
+                                     output_stride=stride, max_step=max_step)
+
+        if accepted:
+            assert config(None).max_step is None
+            assert config(0.25).max_step == 0.25
+            return
+        with pytest.raises(ValueError, match="needs more than 1,000,000"):
+            config(None)
+        with pytest.raises(ValueError, match="max_step asks for more than"):
+            config(0.25)
+
+    @pytest.mark.parametrize("max_step", [None, 0.25])
+    def test_written_out_cap_fails_in_the_integrator(self, max_step):
+        # 2**48 widths out, the default cap and the same cap written out
+        # both reach the integrator, which fails by its second trial step
+        cfg = PropagationConfig(t_start=-2.0 ** 48, t_end=5.0,
+                                output_stride=2.0 ** 41, max_step=max_step)
+        calls = []
+        original = stirapkit.propagation.solve_ivp
+
+        def solve_ivp(fun, *args, **kwargs):
+            def counted(t, y):
+                calls.append(t)
+                return fun(t, y)
+            return original(counted, *args, **kwargs)
+
+        system, fields = three_level()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(stirapkit.propagation, "solve_ivp", solve_ivp)
+            with pytest.raises(PropagationError, match="Required step size"):
+                propagate(system, fields, ground_state(system), cfg)
+        assert len(calls) <= 2 + 12 + 3
+
 
 class TestRightHandSide:
     @pytest.mark.parametrize("case", ["random-n5-m3", "fig4"])

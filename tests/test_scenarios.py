@@ -609,6 +609,13 @@ class TestCanonicalForm:
             dataclasses.replace(loaded, design=request_)
         assert str(got.value) == message
 
+    def test_scenario_in_code_needs_a_label(self):
+        # the label names the output files: an empty one would write the
+        # hidden files .csv and .json
+        with pytest.raises(ScenarioError) as got:
+            dataclasses.replace(builtin_scenario("fig2"), label="")
+        assert str(got.value) == "scenario label must not be empty"
+
 
 class TestIntegersHashLikeFloats:
     """A JSON integer and the same number written as a float are one setting."""
