@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import FieldSet, SystemSpec
+from .model import FieldSet, SystemSpec, _complex_array
 
 __all__ = [
     "DesignError",
@@ -54,14 +54,12 @@ class TargetSpec:
 
     def __post_init__(self):
         arr = np.asarray(self.coefficients, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("target coefficients must form a nonempty vector")
+        # first, so that a NaN coefficient reads as a norm error
         norm = np.linalg.norm(arr)
         if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"target coefficients must have unit norm, got {norm}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
+        object.__setattr__(self, "coefficients",
+                           _complex_array(arr, None, "target coefficients"))
 
     @classmethod
     def basis(cls, n_degenerate: int, index: int | None = None) -> "TargetSpec":

@@ -38,7 +38,7 @@ __all__ = [
 def as_float(value) -> float:
     """``float(value)``, with an integer too large for a float read as infinite.
 
-    Callers reject infinities with their own finiteness checks, so a
+    Callers reject infinities, most through :func:`finite_float`, so a
     400-digit JSON number is bad input (ValueError), not an OverflowError.
     """
     try:
@@ -47,10 +47,25 @@ def as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _complex_array(values, shape: tuple[int, ...], name: str) -> np.ndarray:
-    """Read-only complex copy of ``values``, checked for shape and finiteness."""
+def finite_float(value, name: str, error=ValueError) -> float:
+    """:func:`as_float` of ``value``, or ``error`` naming ``name`` if not finite."""
+    result = as_float(value)
+    if not math.isfinite(result):
+        raise error(f"{name} must be finite, got {result}")
+    return result
+
+
+def _complex_array(values, shape: tuple[int, ...] | None,
+                   name: str) -> np.ndarray:
+    """Read-only complex copy of ``values``, checked for shape and finiteness.
+
+    ``shape`` None asks for a nonempty vector of any length.
+    """
     arr = np.array(values, dtype=complex)
-    if arr.shape != shape:
+    if shape is None:
+        if arr.ndim != 1 or arr.size < 1:
+            raise ValueError(f"{name} must be a nonempty 1-d array")
+    elif arr.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
@@ -187,13 +202,8 @@ class StateVector:
     time: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.components, dtype=complex)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("state vector must be a nonempty 1-d array")
-        if not np.isfinite(arr).all():
-            raise ValueError("state vector must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "components", arr)
+        object.__setattr__(self, "components",
+                           _complex_array(self.components, None, "state vector"))
 
     @property
     def norm(self) -> float:

@@ -57,8 +57,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .design import TargetSpec
-from .model import (FieldSet, StateVector, SystemSpec, as_float,
-                    envelope_pair, envelope_pairs)
+from .model import (FieldSet, StateVector, SystemSpec, envelope_pair,
+                    envelope_pairs, finite_float)
 
 __all__ = [
     "PropagationError",
@@ -109,12 +109,9 @@ class PropagationConfig:
         # stored as floats, so that a setting of -4 hashes like one of -4.0
         for setting in dataclasses.fields(self):
             value = getattr(self, setting.name)
-            if value is None:
-                continue
-            value = as_float(value)
-            if not math.isfinite(value):
-                raise ValueError("propagation settings must be finite")
-            object.__setattr__(self, setting.name, value)
+            if value is not None:
+                object.__setattr__(self, setting.name,
+                                   finite_float(value, setting.name))
         if not self.t_start < self.t_end:
             raise ValueError("t_start must precede t_end")
         if max(-self.t_start, self.t_end) > _MAX_WINDOW_EDGE:

@@ -30,7 +30,7 @@ import numpy as np
 
 from .design import (DesignError, TargetSpec, design_fields, matched_pump_rabi,
                      verify_design)
-from .model import FieldSet, SystemSpec, as_float, ground_state
+from .model import FieldSet, SystemSpec, as_float, finite_float, ground_state
 from .propagation import PropagationConfig, Trajectory, propagate
 
 __all__ = [
@@ -318,20 +318,21 @@ class DesignRequest:
     width: float = 1.0
 
     def __post_init__(self):
-        # stored as floats and a complex, so a request built in code hashes
-        # like the same request loaded from a file
-        phases = self.stokes_phases
-        converted = {
-            "stokes_amplitudes": tuple(map(as_float, self.stokes_amplitudes)),
-            "stokes_phases": None if phases is None else tuple(map(as_float, phases)),
-            "eta": complex(self.eta),
-            "width": as_float(self.width),
-        }
-        for name, value in converted.items():
-            # the schema's limits let NaN and Infinity through, as for Bounds
-            if value is not None and not np.isfinite(value).all():
-                raise ScenarioError(f"design {name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+        # stored as finite floats and a complex, so a request built in code
+        # hashes like the same request loaded from a file; the schema's
+        # limits let NaN and Infinity through, as for Bounds
+        def finite(name, value):
+            return finite_float(value, f"design {name}", ScenarioError)
+
+        eta, phases = self.eta, self.stokes_phases
+        object.__setattr__(self, "stokes_amplitudes", tuple(
+            finite("stokes_amplitudes", v) for v in self.stokes_amplitudes))
+        if phases is not None:
+            object.__setattr__(self, "stokes_phases", tuple(
+                finite("stokes_phases", v) for v in phases))
+        object.__setattr__(self, "eta", complex(finite("eta", eta.real),
+                                                finite("eta", eta.imag)))
+        object.__setattr__(self, "width", finite("width", self.width))
 
 
 @dataclass(frozen=True)
@@ -347,13 +348,10 @@ class Bounds:
         # false), and an infinite limit bounds nothing
         for name in ("max_p_x", "max_p_y", "min_final_p_f"):
             value = getattr(self, name)
-            if value is None:
-                continue
             # stored as a float, so that a bound of 1 hashes like one of 1.0
-            value = as_float(value)
-            if not np.isfinite(value):
-                raise ScenarioError(f"bound {name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            if value is not None:
+                object.__setattr__(self, name, finite_float(
+                    value, f"bound {name}", ScenarioError))
 
 
 @dataclass(frozen=True)
@@ -369,9 +367,13 @@ class Scenario:
     bounds: Bounds
 
     def __post_init__(self):
-        # the label names the output files: an empty one would hide them
+        # the label names the output files: an empty one, or one that
+        # starts with a dot, would hide them
         if not self.label:
             raise ScenarioError("scenario label must not be empty")
+        if self.label.startswith("."):
+            raise ScenarioError(f"scenario label {self.label!r} must not "
+                                "start with a dot")
         if (self.fields is None) == (self.design is None):
             raise ScenarioError(
                 "scenario needs exactly one of 'fields' or 'design'")
@@ -733,6 +735,11 @@ def _check_bounds(bounds: Bounds, traj: Trajectory) -> list[str]:
     return violations
 
 
+# Trajectory CSV rows formatted by one % operation: the formatted text and
+# the tuple of values it reads are held for at most this many rows at once.
+_CSV_BLOCK = 4096
+
+
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """Plain comma-separated time series, one row per sample.
 
@@ -753,7 +760,9 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     line = ",".join(["%.17g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\r\n")
-        handle.write(line * len(table) % tuple(table.ravel().tolist()))
+        for start in range(0, len(table), _CSV_BLOCK):
+            block = table[start:start + _CSV_BLOCK]
+            handle.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def _write_sweep_csv(entries: list[SweepEntry], out_dir) -> None:
@@ -900,11 +909,9 @@ def sweep(scenario: Scenario, axis: str, values, pump_index: int = 1,
     """
     if axis not in SWEEP_AXES:
         raise ScenarioError(f"unknown sweep axis {axis!r}; choose from {SWEEP_AXES}")
-    values = [float(v) for v in values]
+    values = [finite_float(v, "sweep values", ScenarioError) for v in values]
     if not values:
         raise ScenarioError("sweep needs at least one value")
-    if not all(np.isfinite(values)):
-        raise ScenarioError("sweep values must be finite")
     # runs that share a label share output files, and their table rows read alike
     seen: dict[str, float] = {}
     for v in values:

@@ -14,8 +14,8 @@ import pytest
 from stirapkit import (FieldSet, PropagationConfig, SystemSpec, TargetSpec,
                        analytic_lambda1, analytic_pair_tracks,
                        builtin_scenario, cofactor_matrix,
-                       converged_max_coupling, ground_state, hamiltonian,
-                       make_null_vector, matched_pump_rabi,
+                       converged_max_coupling, design_fields, ground_state,
+                       hamiltonian, make_null_vector, matched_pump_rabi,
                        numeric_null_space, phase_aligned_distance, propagate,
                        run, track_null_frame, verify_design)
 
@@ -279,3 +279,99 @@ def test_numerical_hygiene(fig_runs):
             f"max norm error={record.max_norm_error:.2e} (<1e-9), "
             f"final-population drift under tolerance halving={drift:.2e} "
             f"(<1e-8)")
+
+
+# Exact symmetries of the dressed system.  Each maps a design request
+# (system, target, eta, width, Stokes amplitudes and phases) to another one
+# whose run must give the same P_f, max P_x and max P_y: population reaches
+# "one arbitrary member" of the manifold whatever basis, order and phases
+# the other states are written in, and at any time scale.
+def _unitary_on_manifold(rng, request):
+    # mu_s -> mu_s W and c -> W^dagger c
+    system = request["system"]
+    w, _ = np.linalg.qr(crandn(rng, system.n_degenerate, system.n_degenerate))
+    return dict(request,
+                system=SystemSpec(system.n_intermediate, system.n_degenerate,
+                                  system.mu_pump, system.mu_stokes @ w),
+                target=TargetSpec(w.conj().T @ request["target"].coefficients))
+
+
+def _permuted_intermediates(rng, request):
+    system = request["system"]
+    order = rng.permutation(system.n_intermediate)
+    return dict(request,
+                system=SystemSpec(system.n_intermediate, system.n_degenerate,
+                                  system.mu_pump[order],
+                                  system.mu_stokes[order]),
+                amplitudes=request["amplitudes"][order],
+                phases=request["phases"][order])
+
+
+def _phase_gauge_on_intermediates(rng, request):
+    # intermediate k -> e^{i alpha_k} k: the designed pump k picks up
+    # e^{i alpha_k} and Stokes row k picks up e^{-i alpha_k}
+    system = request["system"]
+    gauge = np.exp(1j * rng.uniform(0.0, 2 * np.pi, system.n_intermediate))
+    return dict(request,
+                system=SystemSpec(system.n_intermediate, system.n_degenerate,
+                                  system.mu_pump * gauge,
+                                  system.mu_stokes * gauge.conj()[:, None]))
+
+
+def _time_scaled(rng, request):
+    # width x 2.5 and every Rabi amplitude / 2.5
+    return dict(request, width=2.5 * request["width"],
+                amplitudes=request["amplitudes"] / 2.5)
+
+
+COVARIANCE_CONFIG = PropagationConfig(rel_tol=1e-12, abs_tol=1e-12)
+
+
+def _covariance_figures(request) -> np.ndarray:
+    """P_f, max P_x and max P_y of the designed run at rtol = atol = 1e-12."""
+    system, target = request["system"], request["target"]
+    fields = design_fields(system, target, request["eta"], request["width"],
+                           request["amplitudes"], request["phases"])
+    assert verify_design(system, fields, target).ok
+    initial = ground_state(system, COVARIANCE_CONFIG.t_start * fields.width)
+    traj = propagate(system, fields, initial, COVARIANCE_CONFIG, target)
+    return np.array([traj.final_p_f, traj.max_p_x, traj.max_p_y])
+
+
+@pytest.fixture(scope="module")
+def covariance_designs():
+    """Three seeded complex designs (N, M) = (3, 2), (5, 3), (7, 7).
+
+    The Stokes amplitudes are set so that the mean Stokes peak is 40 over
+    the width, which keeps the transfer adiabatic (1 - P_f < 1e-3).
+    """
+    designs = []
+    for seed, n, m in ((3101, 3, 2), (3102, 5, 3), (3103, 7, 7)):
+        rng = np.random.default_rng(seed)
+        system = random_feasible_system(rng, n, m)
+        target = random_target(rng, m)
+        amplitudes = rng.uniform(0.5, 1.5, n)
+        phases = rng.uniform(0.0, 2 * np.pi, n)
+        eta = rng.uniform(0.7, 1.4) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        fields = design_fields(system, target, eta, 1.0, amplitudes, phases)
+        amplitudes *= 40.0 / np.abs(fields.peak_rabi_stokes).mean()
+        request = dict(system=system, target=target, eta=eta, width=1.0,
+                       amplitudes=amplitudes, phases=phases)
+        designs.append((seed, request, _covariance_figures(request)))
+    return designs
+
+
+@pytest.mark.parametrize("index, transform", enumerate([
+    _unitary_on_manifold, _permuted_intermediates,
+    _phase_gauge_on_intermediates, _time_scaled]),
+    ids=["unitary", "permutation", "phase-gauge", "time-scaling"])
+def test_covariance_of_complex_designs(covariance_designs, index, transform):
+    worst = 0.0
+    for seed, request, figures in covariance_designs:
+        assert 1.0 - figures[0] < 1e-3
+        rng = np.random.default_rng((seed, index))
+        changed = _covariance_figures(transform(rng, request))
+        worst = max(worst, float(np.abs(changed - figures).max()))
+    verdict(f"covariance under {transform.__name__.strip('_')}",
+            worst <= 1e-12,
+            f"worst change of P_f, max P_x, max P_y={worst:.1e} (<=1e-12)")

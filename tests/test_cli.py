@@ -351,6 +351,15 @@ class TestRun:
             in result.output
         assert not (tmp_path / "mini.csv").exists()
 
+    def test_infinite_flag_names_the_setting(self, runner, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["run", "fig2", "--rel-tol", "inf",
+                                      "--out", str(out)])
+        assert isinstance(result.exception, SystemExit), result.exception
+        assert result.exit_code == 1
+        assert result.output == ("error: propagation config: rel_tol must "
+                                 "be finite, got inf\n")
+
     def test_flag_overrides(self, runner, tmp_path):
         ref = write_scenario(tmp_path, mini_dict())
         result = runner.invoke(main, [
@@ -361,6 +370,20 @@ class TestRun:
         lines = (tmp_path / "mini.csv").read_text().splitlines()
         assert lines[1].split(",")[0] == "-5"
         assert lines[-1].split(",")[0] == "6"
+
+
+@pytest.mark.parametrize("label", [".", ".x"])
+def test_label_starting_with_a_dot_exits_1(runner, tmp_path, label):
+    # the output files would be hidden: "." would write ..csv and ..json
+    raw = mini_dict(label=label)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", write_scenario(tmp_path, raw),
+                                  "--out", str(out)])
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert result.output == (f"error: scenario label {label!r} must not "
+                             "start with a dot\n")
+    assert not out.exists() or not any(out.iterdir())
 
 
 class TestWindowPastEnvelopeRange:

@@ -28,6 +28,21 @@ class TestTargetSpec:
         with pytest.raises(ValueError, match="unit norm"):
             TargetSpec([np.nan, 1.0])
 
+    def test_two_dimensional_rejected(self):
+        # a unit-norm matrix passes the norm check and fails the shape check
+        for values in ([[0.6, 0.8]], [[0.6], [0.8]], 1.0):
+            with pytest.raises(ValueError) as got:
+                TargetSpec(values)
+            assert str(got.value) == ("target coefficients must be a "
+                                      "nonempty 1-d array")
+
+    def test_coefficients_are_a_read_only_copy(self):
+        values = np.array([0.6, 0.8j])
+        target = TargetSpec(values)
+        values[0] = 5.0
+        assert np.array_equal(target.coefficients, [0.6, 0.8j])
+        assert not target.coefficients.flags.writeable
+
     def test_basis_index_range(self):
         with pytest.raises(IndexError):
             TargetSpec.basis(3, 4)
@@ -329,6 +344,15 @@ class TestDesignFields:
         assert np.allclose(fields.peak_rabi_pump,
                            [60, 90, 60, 120, 90, 99, 135])
         assert np.allclose(fields.peak_rabi_stokes, system.mu_stokes)
+
+    @pytest.mark.parametrize("phases", [[0.0], [0.0, 0.0, 0.0], [[0.0, 0.0]]],
+                             ids=["short", "long", "2-d"])
+    def test_phase_count_checked(self, phases):
+        system = SystemSpec(2, 2, [1, 1], [[1.0, 0.5], [0.3, 1.0]])
+        with pytest.raises(ValueError, match=r"need 2 Stokes phases, got "
+                                             r"shape \("):
+            design_fields(system, TargetSpec.basis(2), 1.0, 1.0, [2.0, 2.0],
+                          phases)
 
     def test_zero_dipoles_prune_pumps(self):
         rng = np.random.default_rng(3)

@@ -191,6 +191,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             StateVector(np.array([]))
 
+    @pytest.mark.parametrize("values", [[[1.0, 0.0]], [[1.0], [0.0]], 1.0, []],
+                             ids=["row", "column", "scalar", "empty"])
+    def test_state_vector_must_be_a_nonempty_vector(self, values):
+        with pytest.raises(ValueError) as got:
+            StateVector(values)
+        assert str(got.value) == "state vector must be a nonempty 1-d array"
+
+    @pytest.mark.parametrize("stokes", [[1.0], 1.0, [[[1.0]]]],
+                             ids=["1-d", "0-d", "3-d"])
+    def test_stokes_block_must_be_two_dimensional(self, stokes):
+        with pytest.raises(ValueError) as got:
+            FieldSet([1.0], stokes, 1.0)
+        assert str(got.value) == "peak_rabi_stokes must be a 2-d array"
+
     def test_fieldset_helpers(self):
         fields = FieldSet([2.0], [[4.0]], 1.0)
         assert fields.max_rabi == 4.0

@@ -94,6 +94,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="finite"):
             PropagationConfig(**{setting: bad})
 
+    @pytest.mark.parametrize("setting", ["t_start", "t_end", "rel_tol",
+                                         "abs_tol", "max_step", "output_stride"])
+    @pytest.mark.parametrize("bad", [math.inf, 10 ** 400],
+                             ids=["inf", "huge-int"])
+    def test_non_finite_message_names_the_setting(self, setting, bad):
+        with pytest.raises(ValueError) as got:
+            PropagationConfig(**{setting: bad})
+        assert str(got.value) == f"{setting} must be finite, got inf"
+
     def test_default_step_count_capped(self):
         # with no max_step, the default cap of 0.25 widths may ask for no
         # more steps than an explicit one: this window needs 4e8 of them
@@ -893,6 +902,21 @@ class TestSampleTimes:
     def test_two_dimensional_rejected(self):
         with pytest.raises(ValueError, match="1-dimensional"):
             self.solve(stirapkit.propagation.solve_ivp, [[0.0, 1.0]])
+
+    def test_other_methods_rejected(self):
+        with pytest.raises(ValueError) as got:
+            stirapkit.propagation.solve_ivp(
+                lambda t, y: -1j * y, (0.0, 1.0), np.array([1.0 + 0j]),
+                method="RK45", rtol=1e-8, atol=1e-8, t_eval=[0.5])
+        assert str(got.value) == "only DOP853 is implemented, not 'RK45'"
+
+    @pytest.mark.parametrize("t_span", [(1.0, 0.0), (0.5, 0.5)],
+                             ids=["backward", "empty"])
+    def test_forward_span_only(self, t_span):
+        with pytest.raises(ValueError, match="integration runs forward only"):
+            stirapkit.propagation.solve_ivp(
+                lambda t, y: -1j * y, t_span, np.array([1.0 + 0j]),
+                method="DOP853", rtol=1e-8, atol=1e-8, t_eval=[0.5])
 
 
 class TestSolveIvpBuffers:

@@ -24,6 +24,10 @@ from stirapkit.scenarios import (SCENARIO_SCHEMA, Bounds, DesignRequest,
 
 from helpers import trajectory_csv_oracle
 
+# SHA-256 of ``reproduce fig2``'s trajectory CSV
+FIG2_CSV_SHA256 = ("35fc12e456a45e57e3c5c9ddd2c05f571b473938357c51198ef878b9"
+                   "2bf37197")
+
 # Reference parameter tables (peak amplitudes in units of one over the
 # width), frozen here independently of the package's own copies.
 PUMP_TABLE = [60, 90, 60, 120, 90, 99, 135]
@@ -322,6 +326,19 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match=f"design {key} must be finite"):
             load_scenario(path)
 
+    @pytest.mark.parametrize("key, value", [
+        ("stokes_amplitudes", (10 ** 400, 80.0)),
+        ("stokes_phases", (0.0, -10 ** 400)),
+        ("eta", 10 ** 400), ("width", 10 ** 400)],
+        ids=["amplitudes", "phases", "eta", "width"])
+    def test_integer_too_large_for_a_float_in_code(self, key, value):
+        # read as infinite, as in a file, not an OverflowError
+        request = {"stokes_amplitudes": (120.0, 80.0), key: value}
+        with pytest.raises(ScenarioError) as got:
+            DesignRequest(**request)
+        assert str(got.value) == f"design {key} must be finite, got " + (
+            "-inf" if key == "stokes_phases" else "inf")
+
     def test_design_scenario_with_phases(self):
         scenario = load_scenario_from(design_scenario_dict(
             stokes_phases=[0.5, -1.0], eta=[2.0, 1.0], width=1.5))
@@ -616,6 +633,26 @@ class TestCanonicalForm:
             dataclasses.replace(builtin_scenario("fig2"), label="")
         assert str(got.value) == "scenario label must not be empty"
 
+    @pytest.mark.parametrize("label", [".", "..", ".x", ".fig2[amp x2]"])
+    def test_label_must_not_start_with_a_dot(self, tmp_path, label):
+        # the label names the output files: "." would write the hidden
+        # files ..csv and ..json
+        with pytest.raises(ScenarioError) as got:
+            dataclasses.replace(builtin_scenario("fig2"), label=label)
+        assert str(got.value) == (f"scenario label {label!r} must not start "
+                                  "with a dot")
+        raw = scenario_to_dict(builtin_scenario("fig2"))
+        raw["label"] = label
+        with pytest.raises(ScenarioError, match="must not start with a dot"):
+            load_scenario_from(raw)
+
+    def test_label_may_hold_a_dot_after_its_start(self, tmp_path):
+        scenario = dataclasses.replace(load_scenario_from(
+            small_scenario_dict()), label="a.b")
+        run(scenario, out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.b.csv",
+                                                              "a.b.json"]
+
 
 class TestIntegersHashLikeFloats:
     """A JSON integer and the same number written as a float are one setting."""
@@ -748,6 +785,17 @@ class TestRun:
     def test_csv_bytes_match_oracle_fig2(self, tmp_path):
         _, traj = run(builtin_scenario("fig2"), out_dir=tmp_path)
         assert (tmp_path / "fig2.csv").read_bytes() == trajectory_csv_oracle(traj)
+
+    @pytest.mark.parametrize("block", [1, 7, 900, 901])
+    def test_csv_bytes_do_not_depend_on_the_block_size(self, tmp_path,
+                                                       monkeypatch, block):
+        # rows are formatted a block at a time to bound the memory a long
+        # run's file needs; fig2 has 901 rows
+        _, traj = run(builtin_scenario("fig2"))
+        monkeypatch.setattr(stirapkit.scenarios, "_CSV_BLOCK", block)
+        path = tmp_path / "fig2.csv"
+        write_trajectory_csv(traj, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == FIG2_CSV_SHA256
 
     def test_csv_bytes_match_oracle_random(self, tmp_path):
         # magnitudes from subnormal to large, exact zeros and integers
@@ -980,6 +1028,14 @@ class TestSweep:
             sweep(scenario, "width", [np.nan])
         with pytest.raises(ScenarioError, match="at least one"):
             sweep(scenario, "width", [])
+
+    def test_integer_too_large_for_a_float_is_bad_input(self):
+        # float(10 ** 400) raises OverflowError; the value is read as
+        # infinite and rejected before any run
+        scenario = load_scenario_from(small_scenario_dict())
+        with pytest.raises(ScenarioError) as got:
+            sweep(scenario, "width", [2.0, 10 ** 400])
+        assert str(got.value) == "sweep values must be finite, got inf"
 
 
 def load_scenario_from(raw: dict):
