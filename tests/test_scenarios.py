@@ -634,7 +634,7 @@ class TestCanonicalForm:
         assert str(got.value) == "scenario label must not be empty"
 
     @pytest.mark.parametrize("label", [".", "..", ".x", ".fig2[amp x2]"])
-    def test_label_must_not_start_with_a_dot(self, tmp_path, label):
+    def test_label_must_not_start_with_a_dot(self, label):
         # the label names the output files: "." would write the hidden
         # files ..csv and ..json
         with pytest.raises(ScenarioError) as got:
