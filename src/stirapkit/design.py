@@ -154,6 +154,22 @@ def _channels(mask: np.ndarray) -> frozenset[int]:
     return frozenset(int(k) + 1 for k in np.flatnonzero(mask))
 
 
+def _rescaled(values) -> tuple[np.ndarray, int]:
+    """A complex copy of ``values`` divided by ``2**exponent``, and ``exponent``.
+
+    The power of two is the one just above the largest real or imaginary
+    part, so every part of the copy lies below 1 in magnitude.  Division by
+    a power of two is exact wherever it does not underflow, so sums of
+    products formed on the copy equal those formed on ``values`` up to that
+    power, bit for bit, at ordinary scales.
+    """
+    scaled = np.array(values, dtype=complex)
+    parts = scaled.view(float)
+    _, exponent = math.frexp(np.abs(parts).max(initial=0.0))
+    np.ldexp(parts, -exponent, out=parts)
+    return scaled, exponent
+
+
 def _pivot_rows(mu: np.ndarray, count: int) -> tuple[int, ...]:
     """Rows chosen by greedy column-pivoted QR of ``mu.T``, in ascending order.
 
@@ -163,16 +179,12 @@ def _pivot_rows(mu: np.ndarray, count: int) -> tuple[int, ...]:
     Whenever ``mu`` has full column rank the choice equals
     ``scipy.linalg.qr(mu.T, pivoting=True)``'s first ``count`` pivots.
 
-    ``mu`` is first divided by a power of two just above its largest real
-    or imaginary part, so the squares inside the row norms neither overflow
-    nor underflow at any units of the dipoles.  Division by a power of two
-    is exact, so at ordinary scales every norm and projection, and so the
-    choice, is what it is on ``mu`` itself.
+    ``mu`` is first rescaled (:func:`_rescaled`), so the squares inside the
+    row norms neither overflow nor underflow at any units of the dipoles,
+    and at ordinary scales every norm and projection, and so the choice, is
+    what it is on ``mu`` itself.
     """
-    residual = np.array(mu, dtype=complex)
-    parts = residual.view(float)
-    _, exponent = math.frexp(np.abs(parts).max(initial=0.0))
-    np.ldexp(parts, -exponent, out=parts)
+    residual, _ = _rescaled(mu)
     order = list(range(len(residual)))
     for i in range(count):
         norms = np.linalg.norm(residual[order[i:]], axis=1)
@@ -182,6 +194,14 @@ def _pivot_rows(mu: np.ndarray, count: int) -> tuple[int, ...]:
             unit = residual[order[i]] / norms[j - i]
             residual -= np.outer(residual @ unit.conj(), unit)
     return tuple(sorted(order[:count]))
+
+
+def _ldexp(value: float, exponent: int) -> float:
+    """``math.ldexp``, with a result past the float range read as infinite."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def check_feasibility(system: SystemSpec, target: TargetSpec,
@@ -302,12 +322,18 @@ def verify_design(system: SystemSpec, fields: FieldSet,
     channels (pruned ones must carry zero pump).  Verification additionally
     fails when the fitted pump amplitudes are indistinguishable from zero,
     since the condition requires a nonzero ratio.
+
+    The effective couplings and the conjugate pumps are each rescaled
+    (:func:`_rescaled`) before the fit, so its squares neither overflow nor
+    underflow at any amplitude scale or any ratio; the ratio, the residual
+    and the significance test are scaled back.  At ordinary scales every
+    number, and so the verdict, is what it is on the amplitudes themselves.
     """
     system.check_fields(fields)
     target = TargetSpec.resolve(target, system.n_degenerate)
 
-    effective = fields.peak_rabi_stokes @ target.coefficients
-    pump_conj = np.conj(fields.peak_rabi_pump)
+    effective, shift = _rescaled(fields.peak_rabi_stokes @ target.coefficients)
+    pump_conj, exponent = _rescaled(np.conj(fields.peak_rabi_pump))
     live = ~_pruned(effective)
     pruned = _channels(~live)
     scale = fields.max_rabi
@@ -315,13 +341,17 @@ def verify_design(system: SystemSpec, fields: FieldSet,
 
     if not live.any():
         # target decoupled everywhere: the condition degenerates to "no pumps"
-        residual = float(np.abs(pump_conj).max(initial=0.0))
+        residual = _ldexp(float(np.abs(pump_conj).max(initial=0.0)), exponent)
         return VerifyResult(bool(residual < tol), residual, 0.0j, pruned)
 
+    # the ratio of the rescaled parts; times 2**(exponent - shift) it is eta
     weight = float(np.vdot(effective[live], effective[live]).real)
-    eta = complex(np.vdot(effective[live], pump_conj[live]) / weight)
-    residual = float(np.abs(pump_conj - eta * effective).max())
-    significant = abs(eta) * float(np.abs(effective[live]).max()) >= tol
+    ratio = complex(np.vdot(effective[live], pump_conj[live]) / weight)
+    residual = _ldexp(float(np.abs(pump_conj - ratio * effective).max()),
+                      exponent)
+    significant = _ldexp(abs(ratio) * float(np.abs(effective[live]).max()),
+                         exponent) >= tol
+    eta = complex(_ldexp(ratio.real, exponent - shift),
+                  _ldexp(ratio.imag, exponent - shift))
     return VerifyResult(bool(residual < tol and significant), residual, eta,
                         pruned)
-

@@ -162,25 +162,30 @@ def numeric_null_space(h: np.ndarray, tol: float | None = None,
     is kept deliberately independent of it.  ``tol`` is the absolute
     singular-value cutoff; by default it is 1e-9 times the largest singular
     value (callers with field data in hand may prefer 1e-9 times the peak
-    Rabi amplitude).  ``h`` must equal its conjugate transpose to within
-    1e-12 times its largest entry, or ValueError is raised.
+    Rabi amplitude).  ``h`` must be a nonempty, finite square matrix that
+    equals its conjugate transpose to within 1e-12 times its largest entry,
+    or ValueError is raised.  The basis vectors are labelled as
+    :func:`make_null_vector` labels them.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("expected a square matrix")
+    if h.size == 0:
+        raise ValueError("expected a nonempty matrix")
+    if not np.isfinite(h).all():
+        raise ValueError("expected a finite matrix")
     # relative to the largest entry, as numerical_rank is, so that no scale
     # of h lets a non-Hermitian matrix through
-    if not np.allclose(h, h.conj().T, rtol=0, atol=1e-12 * np.abs(h).max()):
+    if np.abs(h - h.conj().T).max() > 1e-12 * np.abs(h).max():
         raise ValueError("expected a Hermitian matrix")
     _, singular, vh = np.linalg.svd(h)
     if tol is None:
-        scale = singular[0] if singular.size and singular[0] > 0 else 1.0
+        scale = singular[0] if singular[0] > 0 else 1.0
         tol = 1e-9 * scale
-    basis = vh[singular < tol].conj()
-    out = []
-    for row in basis:
-        out.append(make_null_vector(_fix_phase(row), time, system))
-    return out
+    basis = _fix_phase(vh[singular < tol].conj())
+    labels = _labels(_node_profile(basis), system)
+    return [NullVector(row, time, label=label)
+            for row, label in zip(basis, labels)]
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -277,8 +282,7 @@ def _eigen_blocks(h_sampler, grid: np.ndarray, system: SystemSpec | None):
         within = on_a[:, None] == on_a
     for start in range(0, grid.size, TRACK_BLOCK):
         times = grid[start:start + TRACK_BLOCK]
-        h = np.array([np.asarray(h_sampler(float(t)), dtype=complex)
-                      for t in times])
+        h = np.array([h_sampler(t) for t in times.tolist()], dtype=complex)
         finite = np.isfinite(h).all(axis=(1, 2))
         if not finite.all():
             raise TrackingLost(
@@ -314,7 +318,7 @@ def _bipartite_eigh(h: np.ndarray,
     vals = np.zeros(h.shape[:2])
     vals[:, :r] = s
     vals[:, r:2 * r] = -s
-    vecs = np.zeros_like(h)
+    vecs = np.zeros(h.shape, dtype=complex)
     vecs[:, a, :r] = vecs[:, a, r:2 * r] = u[:, :, :r] / math.sqrt(2)
     vecs[:, x, :r] = v[:, :, :r] / math.sqrt(2)
     vecs[:, x, r:2 * r] = -vecs[:, x, :r]

@@ -615,6 +615,39 @@ class TestVerifyAndDesign:
         assert "infeasible design:" not in result.output
 
 
+class TestAmplitudeScale:
+    """Verification reads fig2's fields at any scale, with no numpy warning."""
+
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -1000],
+                             ids=["x2^600", "x2^-1000"])
+    def test_verify_scaled_saved_form(self, runner, tmp_path, scale):
+        raw = stirapkit.scenarios.scenario_to_dict(
+            stirapkit.scenarios.builtin_scenario("fig2"))
+        fields = raw["fields"]
+        fields["peak_rabi_pump"] = [scale * v for v in fields["peak_rabi_pump"]]
+        fields["peak_rabi_stokes"] = [[scale * v for v in row]
+                                      for row in fields["peak_rabi_stokes"]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["verify",
+                                          write_scenario(tmp_path, raw)])
+        assert result.exit_code == 0, result.output
+        assert "verified: True" in result.output.splitlines()
+        assert "Warning" not in result.output
+
+    def test_sweep_at_tiny_amplitude_is_a_bound_violation(self, runner,
+                                                         tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, [
+                "sweep", "fig2", "--axis", "amplitude-scale",
+                "--values", "1e-300", "--jobs", "1", "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "Warning" not in result.output
+        status = (tmp_path / "sweep.csv").read_text().splitlines()[1]
+        assert status.endswith(",bound-violation")
+
+
 class TestSweep:
     def test_sweep_table_and_csv(self, runner, tmp_path):
         ref = write_scenario(tmp_path, mini_dict())

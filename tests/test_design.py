@@ -14,7 +14,8 @@ from stirapkit import (DesignError, FieldSet, SystemSpec, TargetSpec,
                        matched_pump_rabi, numeric_null_space, verify_design)
 from stirapkit.design import numerical_rank
 
-from helpers import crandn, random_feasible_system, random_target
+from helpers import (crandn, random_designed_fields, random_feasible_system,
+                     random_target)
 
 
 class TestTargetSpec:
@@ -499,6 +500,104 @@ class TestPrunedChannels:
         assert report.pruned_pumps == verdict.pruned == zeros == expected
         for named in (report.pruned_pumps, verdict.pruned):
             assert all(type(k) is int for k in named)
+
+
+def scaled_design_case(case):
+    """fig2, or a seeded complex design with a complex target."""
+    if case == "fig2":
+        scenario = builtin_scenario("fig2")
+        return scenario.system, scenario.resolve_fields(), scenario.target
+    seed, n, m = case
+    rng = np.random.default_rng(seed)
+    system = random_feasible_system(rng, n, m)
+    target = random_target(rng, m)
+    fields, _, _ = random_designed_fields(rng, system, target)
+    return system, fields, target
+
+
+SCALED_CASES = ["fig2", (3201, 5, 3), (3202, 6, 6)]
+
+
+@pytest.mark.parametrize("case", SCALED_CASES, ids=str)
+class TestVerifyAtAnyScale:
+    """``verify_design`` gives every amplitude scale the verdict of x1."""
+
+    @pytest.mark.parametrize("exponent", [600, -600])
+    def test_power_of_two_scale_is_exact(self, case, exponent):
+        system, fields, target = scaled_design_case(case)
+        base = verify_design(system, fields, target)
+        scale = 2.0 ** exponent
+        result = verify_design(system, fields.scaled(scale), target)
+        assert result.ok is base.ok is True
+        assert result.eta == base.eta
+        assert result.residual == base.residual * scale
+        assert result.pruned == base.pruned
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-300, 2.0 ** -1000])
+    def test_far_scales_verify(self, case, scale):
+        system, fields, target = scaled_design_case(case)
+        base = verify_design(system, fields, target)
+        result = verify_design(system, fields.scaled(scale), target)
+        assert result.ok
+        assert abs(result.eta - base.eta) <= 1e-12 * abs(base.eta)
+        assert result.residual < 1e-10 * fields.scaled(scale).max_rabi
+
+    def test_mismatch_still_fails_at_far_scales(self, case):
+        system, fields, target = scaled_design_case(case)
+        pump = fields.peak_rabi_pump.copy()
+        pump[0] *= 1.01
+        broken = FieldSet(pump, fields.peak_rabi_stokes, fields.width)
+        base = verify_design(system, broken, target)
+        assert not base.ok
+        for exponent in (600, -600):
+            result = verify_design(system, broken.scaled(2.0 ** exponent),
+                                   target)
+            assert not result.ok
+            assert result.eta == base.eta
+            assert result.residual == base.residual * 2.0 ** exponent
+
+    def test_closed_form_inherits_the_fit(self, case):
+        system, fields, target = scaled_design_case(case)
+        for t in (-1.0, 0.5, 2.0):
+            want = analytic_lambda1(system, fields, t, target).components
+            for exponent in (600, -600):
+                got = analytic_lambda1(system, fields.scaled(2.0 ** exponent),
+                                       t, target).components
+                assert np.array_equal(got, want)
+
+
+class TestVerifyAtAnyRatio:
+    @pytest.mark.parametrize("eta", [1e-5, 1e155, -3e200j])
+    def test_far_ratio_verifies_at_any_scale(self, eta):
+        # the pumps are eta times the effective couplings: each side is
+        # rescaled on its own, or the smaller one's squares underflow
+        scenario = builtin_scenario("fig2")
+        system, target = scenario.system, scenario.target
+        fields = design_fields(system, target, eta, 1.0, np.full(7, 1.0))
+        base = verify_design(system, fields, target)
+        assert base.ok
+        assert abs(base.eta - eta) <= 1e-12 * abs(eta)
+        for exponent in (300, -600):
+            result = verify_design(system, fields.scaled(2.0 ** exponent),
+                                   target)
+            assert result.ok
+            assert result.eta == base.eta
+            assert result.residual == base.residual * 2.0 ** exponent
+
+
+class TestVerifyNearTheFloatLimit:
+    def test_residual_past_the_float_range_reads_infinite(self):
+        # every amplitude is finite, but the residual of the first channel,
+        # 1.75 x 1.5e308, is not: the verdict is a failure, not an error
+        n = 8
+        stokes = np.ones((n, 1))
+        stokes[0] = -1.0
+        system = SystemSpec(n, 1, np.ones(n), np.ones((n, 1)))
+        fields = FieldSet(np.full(n, 1.5e308), 1e300 * stokes, 1.0)
+        result = verify_design(system, fields)
+        assert not result.ok
+        assert result.residual == np.inf
+        assert result.eta == pytest.approx(0.75 * 1.5e308 / 1e300, rel=1e-12)
 
 
 class TestDesignProperties:

@@ -450,3 +450,38 @@ class TestHamiltonianProduct:
         second = hamiltonian(system, fields, 0.4)
         assert not np.shares_memory(first, second)
         assert np.array_equal(second, kept)
+
+
+class TestCouplingFloats:
+    """The stack's float view, cached next to ``coupling_stack``."""
+
+    def test_float_view_is_read_only_and_cached(self):
+        system, fields = named_system_and_fields("seed41")
+        floats = fields._coupling_floats
+        stack = fields.coupling_stack
+        assert floats.dtype == float
+        assert floats.shape == (2, 2 * system.dim ** 2)
+        assert not floats.flags.writeable
+        with pytest.raises(ValueError):
+            floats[0, 1] = 1.0
+        assert np.shares_memory(floats, stack)
+        assert np.array_equal(floats, stack.reshape(2, -1).view(float))
+        hamiltonian(system, fields, 0.3)
+        assert fields._coupling_floats is floats
+        assert fields.coupling_stack is stack
+
+    def test_derived_field_sets_get_their_own_view(self):
+        system, fields = named_system_and_fields("seed42")
+        floats = fields._coupling_floats
+        for derived in (fields.scaled(2.0), fields.with_width(3.0)):
+            own = derived._coupling_floats
+            assert own is not floats
+            assert not np.shares_memory(own, floats)
+            assert np.shares_memory(own, derived.coupling_stack)
+            assert not own.flags.writeable
+            stack = derived.coupling_stack
+            for t in (-1.0, 0.4, 2.0):
+                f_p, f_s = envelope_pair(t, derived.width)
+                assert np.array_equal(hamiltonian(system, derived, t),
+                                      f_p * stack[0] + f_s * stack[1])
+        assert fields._coupling_floats is floats

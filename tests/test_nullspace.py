@@ -190,6 +190,85 @@ class TestNumericNullSpace:
         assert sizes == [1, 1, 1]
 
 
+class TestStackedNullBasis:
+    """``numeric_null_space`` phases and labels its whole basis at once."""
+
+    @staticmethod
+    def per_row(h, tol, system, time):
+        # the basis row by row: each row phased alone, then labelled alone
+        _, singular, vh = np.linalg.svd(h)
+        if tol is None:
+            tol = 1e-9 * singular[0]
+        return [make_null_vector(nullspace._fix_phase(row), time, system)
+                for row in vh[singular < tol].conj()]
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.label is b.label
+            assert a.time == b.time
+            bits_a, bits_b = a.components.view(float), b.components.view(float)
+            assert np.array_equal(bits_a, bits_b)
+            assert np.array_equal(np.signbit(bits_a), np.signbit(bits_b))
+
+    @pytest.mark.parametrize("name", ["fig2", "fig3", "fig4", "fig5"])
+    def test_figures_match_the_per_row_path(self, name):
+        scenario = builtin_scenario(name)
+        system, fields = scenario.system, scenario.resolve_fields()
+        for t in (-1.5, 0.0, 0.37, 1.0, 2.4):
+            h = hamiltonian(system, fields, t)
+            tol = 1e-9 * fields.max_rabi
+            got = numeric_null_space(h, tol=tol, system=system, time=t)
+            self.assert_same(got, self.per_row(h, tol, system, t))
+            if len(got) == 1:
+                assert got[0].label is NullVectorLabel.LAMBDA1
+
+    @pytest.mark.parametrize("seed,n,m", [
+        (320, 7, 2), (321, 6, 3), (322, 5, 1), (323, 4, 3), (324, 3, 1)])
+    def test_seeded_bases_match_the_per_row_path(self, seed, n, m):
+        rng = np.random.default_rng(seed)
+        system = random_feasible_system(rng, n, m)
+        fields, _, _ = random_designed_fields(rng, system, width=1.3)
+        for t in rng.uniform(-2.0, 3.0, 6).tolist():
+            h = hamiltonian(system, fields, t)
+            for tol, labelled in ((1e-9 * fields.max_rabi, system),
+                                  (None, None)):
+                got = numeric_null_space(h, tol=tol, system=labelled, time=t)
+                assert len(got) == 1 + n - m
+                self.assert_same(got, self.per_row(h, tol, labelled, t))
+
+    def test_vectors_own_their_components(self):
+        rng = np.random.default_rng(325)
+        system = random_feasible_system(rng, 7, 2)
+        fields, _, _ = random_designed_fields(rng, system)
+        vectors = numeric_null_space(hamiltonian(system, fields, 0.5),
+                                     tol=1e-9 * fields.max_rabi, system=system)
+        assert len(vectors) == 6
+        for i, vec in enumerate(vectors):
+            assert not vec.components.flags.writeable
+            for other in vectors[i + 1:]:
+                assert not np.shares_memory(vec.components, other.components)
+
+
+class TestNullSpaceInput:
+    """A matrix that is not finite, or empty, is bad input, with no warning."""
+
+    @pytest.mark.parametrize("h", [
+        [[0.0, math.inf], [math.inf, 0.0]],
+        [[0.0, math.nan], [math.nan, 0.0]],
+        [[1.0, 0.0], [0.0, -math.inf]],
+        [[0.0, complex(1.0, math.nan)], [complex(1.0, math.nan), 0.0]],
+    ], ids=["inf", "nan", "diagonal-inf", "nan-imaginary"])
+    def test_non_finite_matrix_is_rejected(self, h):
+        with pytest.raises(ValueError, match="^expected a finite matrix$"):
+            numeric_null_space(np.array(h, dtype=complex))
+
+    def test_empty_matrix_has_its_own_message(self):
+        with pytest.raises(ValueError, match="^expected a nonempty matrix$"):
+            numeric_null_space(np.zeros((0, 0), dtype=complex))
+
+
 class TestAnalyticLambda1:
     def test_early_time_is_initial_state(self, fig2):
         system, fields = fig2
