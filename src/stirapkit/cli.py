@@ -125,7 +125,11 @@ def main():
 @click.option("--out", "out_file", type=click.Path(dir_okay=False),
               default=None, help="Write the report as JSON to this file.")
 def design(scenario_ref, out_file):
-    """Emit the feasibility/design report for SCENARIO_REF."""
+    """Emit the feasibility/design report for SCENARIO_REF.
+
+    Exits 3 when the design is infeasible, else 2 when the fields fail
+    verification, after printing the report either way.
+    """
     scenario = load_scenario(scenario_ref)
     problem = (scenario.system, scenario.target)
     report = (check_feasibility(*problem) if scenario.design is None
@@ -163,6 +167,8 @@ def design(scenario_ref, out_file):
     click.echo(text)
     if not report.feasible:
         sys.exit(EXIT_INFEASIBLE)
+    if fields is not None and not verdict.ok:
+        sys.exit(EXIT_BOUNDS)
 
 
 @main.command()

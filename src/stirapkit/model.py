@@ -186,6 +186,16 @@ class FieldSet:
         """
         return self.coupling_stack.reshape(2, -1).view(float)
 
+    @functools.cached_property
+    def _verified_etas(self) -> dict[bytes, complex]:
+        """The ratio η of each target these fields passed ``verify_design`` for.
+
+        Keyed by the target's coefficient bytes; filled by
+        :func:`~stirapkit.nullspace.analytic_lambda1`, which never stores a
+        failed verdict.  ``scaled`` and ``with_width`` field sets start empty.
+        """
+        return {}
+
     def scaled(self, factor: float) -> "FieldSet":
         """All peak amplitudes multiplied by ``factor``; width unchanged."""
         return FieldSet(self.peak_rabi_pump * factor,

@@ -66,8 +66,14 @@ MAX_DOUBLINGS = 6
 # about 1 MB.  The eigensolve is an SVD of the (1+M) x N coupling blocks K
 # when the block couples only A = {initial, degenerate} to X =
 # {intermediates}: then H = [[0, K], [K^H, 0]], whose eigenvectors are
-# built from K's singular vectors, at about half the cost of ``eigh``.
+# built from K's singular vectors, at about half the cost of ``eigh``.  The
+# transport's prefix products come from a blocked scan over chunks of
+# SCAN_CHUNK steps (:func:`_prefix_products`): about 1,070 stacked k x k
+# products for a 255-step block, where doubling over all steps makes 1,785.
+# Cluster masks are formed only for the eigenvector columns the rule and the
+# transport read (:func:`_clusters`), never as a (G, d, d) stack.
 TRACK_BLOCK = 256
+SCAN_CHUNK = 16
 
 
 class TrackingLost(RuntimeError):
@@ -174,9 +180,7 @@ def numeric_null_space(h: np.ndarray, tol: float | None = None,
         raise ValueError("expected a nonempty matrix")
     if not np.isfinite(h).all():
         raise ValueError("expected a finite matrix")
-    # relative to the largest entry, as numerical_rank is, so that no scale
-    # of h lets a non-Hermitian matrix through
-    if np.abs(h - h.conj().T).max() > 1e-12 * np.abs(h).max():
+    if not _hermitian(h):
         raise ValueError("expected a Hermitian matrix")
     _, singular, vh = np.linalg.svd(h)
     if tol is None:
@@ -186,6 +190,16 @@ def numeric_null_space(h: np.ndarray, tol: float | None = None,
     labels = _labels(_node_profile(basis), system)
     return [NullVector(row, time, label=label)
             for row, label in zip(basis, labels)]
+
+
+def _hermitian(h: np.ndarray) -> np.ndarray:
+    """Per finite matrix (last two axes): ``max|h - h^H| <= 1e-12 * max|h|``.
+
+    Relative to the largest entry, as numerical_rank is, so that no scale of
+    h lets a non-Hermitian matrix through.
+    """
+    skew = np.abs(h - h.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    return skew <= 1e-12 * np.abs(h).max(axis=(-2, -1))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -221,18 +235,28 @@ def analytic_lambda1(system: SystemSpec, fields: FieldSet, t: float,
     normalization and ``xi = eta * f_p/f_s`` (``model.log_envelope_ratio``):
     it rides from the initial state into the target direction as the pulse
     pair sweeps through, and ``H @ vector`` vanishes identically.
+
+    The verifier runs once per field set and target: a passing verdict's
+    ``eta`` is kept on the ``FieldSet`` instance, keyed by the target's
+    coefficient bytes, and a failing one is judged afresh on every call.
+    The field shapes and the rank of the Stokes block are checked on every
+    call.
     """
     target = TargetSpec.resolve(target, system.n_degenerate)
-    result = verify_design(system, fields, target)
-    if not result.ok:
-        raise DesignError(
-            "fields do not satisfy the pump/Stokes phase-matching condition "
-            f"(residual {result.residual:.3e})")
+    system.check_fields(fields)
+    key = target.coefficients.tobytes()
+    eta = fields._verified_etas.get(key)
+    if eta is None:
+        result = verify_design(system, fields, target)
+        if not result.ok:
+            raise DesignError(
+                "fields do not satisfy the pump/Stokes phase-matching "
+                f"condition (residual {result.residual:.3e})")
+        eta = fields._verified_etas[key] = result.eta
     block = fields.peak_rabi_stokes
     if numerical_rank(block) < min(block.shape):
         raise DesignError("Stokes coupling block is rank deficient")
 
-    eta = result.eta
     # log-domain magnitude keeps the construction stable at extreme times
     u = math.log(abs(eta)) + log_envelope_ratio(t, fields.width)
     if u <= 0.0:
@@ -264,17 +288,18 @@ def _check_seed(h0: np.ndarray, vals: np.ndarray, seeds: np.ndarray) -> None:
 def _eigen_blocks(h_sampler, grid: np.ndarray, system: SystemSpec | None):
     """Sample once per grid point, in order; one stacked eigensolve per block.
 
-    Yields ``(times, h, vals, vecs, same)``; ``same[g, i, j]`` says whether
-    eigenvalues i and j at point g fall in one degenerate cluster.  A block
-    of the system's Hamiltonians whose A-A and X-X parts are all exactly
-    zero (A the initial and degenerate states, X the intermediates, as for
-    every resonant :func:`~stirapkit.model.hamiltonian`) is solved through
-    the SVD of its A-X coupling block (:func:`_bipartite_eigh`); any other
-    block, or any block without ``system``, through ``eigh``.  Both give the
-    same eigenvalues and, cluster by cluster, the same eigenspaces; they
-    differ only in the column order and in the basis inside a degenerate
-    cluster, and the continuation rule reads neither (it projects onto whole
-    clusters and pins phases by overlaps).
+    Yields ``(times, h, vals, vecs)``.  A block of the system's Hamiltonians
+    whose A-A and X-X parts are all exactly zero (A the initial and
+    degenerate states, X the intermediates, as for every resonant
+    :func:`~stirapkit.model.hamiltonian`) is solved through the SVD of its
+    A-X coupling block (:func:`_bipartite_eigh`), which reads only that
+    block; any other block, or any block without ``system``, through
+    ``eigh``, after each of its matrices passes the Hermitian test of
+    :func:`numeric_null_space` (:func:`_hermitian`; ValueError otherwise).  Both give the same eigenvalues
+    and, cluster by cluster, the same eigenspaces; they differ only in the
+    column order and in the basis inside a degenerate cluster, and the
+    continuation rule reads neither (it projects onto whole clusters and
+    pins phases by overlaps).
     """
     if system is not None:
         on_a = np.ones(system.dim, dtype=bool)
@@ -291,19 +316,23 @@ def _eigen_blocks(h_sampler, grid: np.ndarray, system: SystemSpec | None):
                 and not h[:, within].any()):
             vals, vecs = _bipartite_eigh(h, on_a)
         else:
+            hermitian = _hermitian(h)
+            if not hermitian.all():
+                raise ValueError("expected a Hermitian matrix at "
+                                 f"t = {times[hermitian.argmin()]:g}")
             vals, vecs = np.linalg.eigh(h)
-        tol = DEGENERACY_REL_TOL * np.maximum(np.abs(vals).max(axis=1), 1e-300)
-        same = (np.abs(vals[:, :, None] - vals[:, None, :])
-                <= tol[:, None, None])
-        yield times, h, vals, vecs, same
+        yield times, h, vals, vecs
 
 
 def _bipartite_eigh(h: np.ndarray,
                     on_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystems of stacked Hermitian ``h = [[0, K], [K^H, 0]]`` from SVDs of K.
 
-    ``on_a`` marks the A indices; every A-A and X-X entry of ``h`` is zero.
-    With ``K = U S V^H`` (Morris & Shore, Phys. Rev. A 27, 906 (1983)),
+    ``on_a`` marks the A indices, which are the first index and the last
+    ``|A| - 1`` (the initial and the degenerate states), so that X is the
+    slice ``1..N``; every A-A and X-X entry of ``h`` is zero.  Only the A-X
+    block K is read, so ``h`` is taken to be Hermitian.  With
+    ``K = U S V^H`` (Morris & Shore, Phys. Rev. A 27, 906 (1983)),
     ``(u_k; +-v_k)/sqrt(2)`` is an eigenvector at ``+-s_k`` for each of the
     ``r = min(|A|, |X|)`` singular values, since ``K v_k = s_k u_k`` and
     ``K^H u_k = s_k v_k``; the columns of U and V past r span the null
@@ -311,23 +340,44 @@ def _bipartite_eigh(h: np.ndarray,
     alone and on X alone.  These d orthonormal vectors are returned as
     ``(vals, vecs)`` like ``eigh``'s, in the order +s, -s, A null, X null.
     """
-    a, x = np.flatnonzero(on_a), np.flatnonzero(~on_a)
-    r = min(a.size, x.size)
-    u, s, vh = np.linalg.svd(h[:, a[:, None], x])
+    d = h.shape[-1]
+    n_a = int(np.count_nonzero(on_a))
+    n = d - n_a
+    # A = {0} and the tail 1+N.., X = 1..N, all as basic slices
+    a0, tail, x = slice(0, 1), slice(1 + n, d), slice(1, 1 + n)
+    r = min(n_a, n)
+    u, s, vh = np.linalg.svd(np.concatenate((h[:, a0, x], h[:, tail, x]),
+                                            axis=1))
     v = vh.conj().swapaxes(1, 2)
     vals = np.zeros(h.shape[:2])
     vals[:, :r] = s
     vals[:, r:2 * r] = -s
     vecs = np.zeros(h.shape, dtype=complex)
-    vecs[:, a, :r] = vecs[:, a, r:2 * r] = u[:, :, :r] / math.sqrt(2)
+    bright = u[:, :, :r] / math.sqrt(2)
+    vecs[:, a0, :r] = vecs[:, a0, r:2 * r] = bright[:, :1]
+    vecs[:, tail, :r] = vecs[:, tail, r:2 * r] = bright[:, 1:]
     vecs[:, x, :r] = v[:, :, :r] / math.sqrt(2)
     vecs[:, x, r:2 * r] = -vecs[:, x, :r]
-    vecs[:, a, 2 * r:r + a.size] = u[:, :, r:]
-    vecs[:, x, r + a.size:] = v[:, :, r:]
+    vecs[:, a0, 2 * r:r + n_a] = u[:, :1, r:]
+    vecs[:, tail, 2 * r:r + n_a] = u[:, 1:, r:]
+    vecs[:, x, r + n_a:] = v[:, :, r:]
     return vals, vecs
 
 
-def _continue(vecs: np.ndarray, same: np.ndarray, prev: np.ndarray, t):
+def _clusters(vals: np.ndarray, chosen: np.ndarray) -> np.ndarray:
+    """Whether eigenvalue i shares a degenerate cluster with each chosen one.
+
+    ``vals`` is (..., d) and ``chosen`` (..., K) holds eigen-indices; the
+    result is (..., d, K).  Eigenvalues within ``DEGENERACY_REL_TOL`` of
+    the point's spectral radius share a cluster.
+    """
+    tol = DEGENERACY_REL_TOL * np.maximum(np.abs(vals).max(axis=-1), 1e-300)
+    picked = np.take_along_axis(vals, chosen, axis=-1)
+    return (np.abs(vals[..., :, None] - picked[..., None, :])
+            <= tol[..., None, None])
+
+
+def _continue(vecs: np.ndarray, vals: np.ndarray, prev: np.ndarray, t):
     """The continuation rule at one grid point, from the frame ``prev``.
 
     Returns the new frame and, per member, the index of the eigenvector it
@@ -335,7 +385,7 @@ def _continue(vecs: np.ndarray, same: np.ndarray, prev: np.ndarray, t):
     """
     overlaps = vecs.conj().T @ prev
     best = np.abs(overlaps).argmax(axis=0)
-    q, r = np.linalg.qr(vecs @ (same[:, best] * overlaps))
+    q, r = np.linalg.qr(vecs @ (_clusters(vals, best) * overlaps))
     kept = r.diagonal() != 0
     if not kept.all():
         raise TrackingLost(f"frame member {kept.argmin()} vanished at t = {t:g}")
@@ -350,7 +400,35 @@ def _continue(vecs: np.ndarray, same: np.ndarray, prev: np.ndarray, t):
     return q * (aligned / weight), best
 
 
-def _transport(vecs: np.ndarray, same: np.ndarray, moved: np.ndarray,
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """``out[g] = steps[g] @ ... @ steps[0]`` for a stack of square matrices.
+
+    A blocked scan: doubling inside chunks of ``SCAN_CHUNK`` steps, doubling
+    over the chunk totals, then one product that carries the steps of the
+    earlier chunks into each later one.  The last chunk is padded with
+    zeros, which reach only the padding and the last chunk's total, and the
+    scan reads neither.
+    """
+    n, k = steps.shape[:2]
+    chunk = min(SCAN_CHUNK, n)
+    out = np.zeros((-(-n // chunk), chunk, k, k), dtype=steps.dtype)
+    out.reshape(-1, k, k)[:n] = steps
+    _doubling_scan(out.swapaxes(0, 1))
+    totals = out[:-1, -1].copy()
+    _doubling_scan(totals)
+    out[1:] = out[1:] @ totals[:, None]
+    return out.reshape(-1, k, k)[:n]
+
+
+def _doubling_scan(p: np.ndarray) -> None:
+    """``p[g] <- p[g] @ ... @ p[0]`` in place, in about log2(len(p)) products."""
+    span = 1
+    while span < len(p):
+        p[span:] = p[span:] @ p[:-span]
+        span *= 2
+
+
+def _transport(vecs: np.ndarray, vals: np.ndarray, moved: np.ndarray,
                best: np.ndarray) -> int:
     """Transport the frame ``moved[0]``, the rule's result at ``vecs[0]``.
 
@@ -360,9 +438,12 @@ def _transport(vecs: np.ndarray, same: np.ndarray, moved: np.ndarray,
     ``C_g R_g = T_g C_{g-1}`` with ``T_g = U_g^H U_{g-1}``: projection,
     Gram-Schmidt and phase pin are one QR with a real positive diagonal, and
     that diagonal holds the step overlaps.  So ``C_g`` is the Q factor of
-    ``T_g...T_1 C_0``; one prefix product and one stacked QR give every point
-    at once, and their R diagonal is the accumulated overlap, the product of
-    the step overlaps so far.
+    ``T_g...T_1 C_0``; the prefix products of a blocked scan
+    (:func:`_prefix_products`) and one stacked QR give every point at once,
+    and their R diagonal is the accumulated overlap, the product of the step
+    overlaps so far.  Cluster masks are formed only for the columns read:
+    the best eigenvectors at ``vecs[0]`` and, at each later point, those of
+    the transported frame.
 
     Writes the frames at ``vecs[1:]`` into ``moved[1:]`` and returns how
     many leading points of ``moved`` hold the rule's frame: ``vecs[0]``, then
@@ -375,7 +456,7 @@ def _transport(vecs: np.ndarray, same: np.ndarray, moved: np.ndarray,
     """
     n = vecs.shape[0] - 1
     frame = moved[0]
-    clusters = same[0][:, best]
+    clusters = _clusters(vals[0], best)
     groups: dict[bytes, list[int]] = {}
     for k in range(frame.shape[1]):
         groups.setdefault(clusters[:, k].tobytes(), []).append(k)
@@ -388,11 +469,7 @@ def _transport(vecs: np.ndarray, same: np.ndarray, moved: np.ndarray,
     held = np.ones(n, dtype=bool)
     for cols, mask in zip(groups.values(), masks):
         u = vecs[:, :, mask]
-        product = u[1:].conj().swapaxes(1, 2) @ u[:-1]
-        span = 1
-        while span < n:
-            product[span:] = product[span:] @ product[:-span]
-            span *= 2
+        product = _prefix_products(u[1:].conj().swapaxes(1, 2) @ u[:-1])
         q, r = np.linalg.qr(product @ (u[0].conj().T @ frame[:, cols]))
         pinned = r.diagonal(axis1=1, axis2=2)
         accumulated = np.abs(pinned)
@@ -404,8 +481,7 @@ def _transport(vecs: np.ndarray, same: np.ndarray, moved: np.ndarray,
     # |F^H V| rather than |V^H F|: conjugates the (n, d, K) frames, not the
     # (n, d, d) eigenvectors
     moved_best = np.abs(moved[:-1].conj().swapaxes(1, 2) @ vecs[1:]).argmax(axis=2)
-    held &= (np.take_along_axis(same[1:], moved_best[:, None, :], axis=2)
-             == clusters).all(axis=(1, 2))
+    held &= (_clusters(vals[1:], moved_best) == clusters).all(axis=(1, 2))
     failed = np.flatnonzero(~held)
     return 1 + (int(failed[0]) if failed.size else n)
 
@@ -426,7 +502,10 @@ def track_null_frame(h_sampler, seeds, grid,
     (largest-component convention at the start).  Raises
     :class:`TrackingLost` when a member vanishes, when its step-to-step
     overlap drops below ``MIN_OVERLAP``, or when a sampled Hamiltonian is not
-    finite.  Returns one frame (list parallel to ``seeds``) per grid point;
+    finite.  Raises ValueError when a sampled Hamiltonian that goes to
+    ``eigh`` is not Hermitian, by :func:`numeric_null_space`'s test; a block
+    solved through its coupling block K (see :func:`_eigen_blocks`) reads
+    K alone.  Returns one frame (list parallel to ``seeds``) per grid point;
     the vectors' components are read-only views of one frame stack.
 
     The rule runs point by point only where it must.  At the first point of
@@ -448,17 +527,17 @@ def track_null_frame(h_sampler, seeds, grid,
     prev = prev / np.linalg.norm(prev, axis=0)
     frames = np.empty((grid.size, prev.shape[1], prev.shape[0]), dtype=complex)
     idx = 0
-    for times, h, vals, vecs, same in _eigen_blocks(h_sampler, grid, system):
+    for times, h, vals, vecs in _eigen_blocks(h_sampler, grid, system):
         if idx == 0:
             _check_seed(h[0], vals[0], prev)
         g = 0
         while g < times.size:
-            prev, best = _continue(vecs[g], same[g], prev, times[g])
+            prev, best = _continue(vecs[g], vals[g], prev, times[g])
             if idx + g == 0:
                 prev = _fix_phase(prev.T).T
             moved = frames[idx + g:idx + times.size].swapaxes(1, 2)
             moved[0] = prev
-            kept = _transport(vecs[g:], same[g:], moved, best)
+            kept = _transport(vecs[g:], vals[g:], moved, best)
             prev = moved[kept - 1]
             g += kept
         idx += times.size
@@ -486,7 +565,7 @@ def _frame_vectors(rows: np.ndarray, times: list[float],
     read-only and never written again.
     """
     vectors = []
-    for components, time, label in zip(rows, times, labels):
+    for components, time, label in zip(list(rows), times, labels.tolist()):
         vec = object.__new__(NullVector)
         fields = vec.__dict__
         fields["components"] = components

@@ -614,6 +614,29 @@ class TestVerifyAndDesign:
         assert "verified" not in report
         assert "infeasible design:" not in result.output
 
+    @pytest.mark.parametrize("eta, verified, code", [
+        (1e-12, False, 2), (1e-9, True, 0)], ids=["eta=1e-12", "eta=1e-9"])
+    def test_design_exit_code_follows_verification(self, runner, tmp_path,
+                                                   eta, verified, code):
+        # feasible for any eta != 0, but at 1e-12 the designed pumps fall
+        # below the verifier's significance test
+        raw = {"label": "tiny-eta",
+               "system": {"n_intermediate": 2, "n_degenerate": 2,
+                          "mu_pump": [1.0, 1.0],
+                          "mu_stokes": [[1.0, 0.5], [0.3, 1.0]]},
+               "target": [0.0, 1.0],
+               "design": {"stokes_amplitudes": [120.0, 120.0], "eta": eta}}
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        result = runner.invoke(main, ["design", write_scenario(tmp_path, raw)])
+        assert result.exit_code == code, result.output
+        report = json.loads(result.stdout, parse_constant=reject)
+        assert report["feasible"] is True
+        assert report["verified"] is verified
+        assert report["eta"] == [eta, 0.0]
+
 
 class TestAmplitudeScale:
     """Verification reads fig2's fields at any scale, with no numpy warning."""

@@ -332,6 +332,97 @@ class TestAnalyticLambda1:
         assert np.linalg.norm(h @ vec.components) < 1e-12 * np.linalg.norm(h, 2)
 
 
+class TestLambda1Verdict:
+    """``analytic_lambda1`` verifies a field set once per target."""
+
+    @staticmethod
+    def counted_verify(monkeypatch):
+        calls = []
+        verify = nullspace.verify_design
+
+        def counted(system, fields, target=None):
+            calls.append(fields)
+            return verify(system, fields, target)
+
+        monkeypatch.setattr(nullspace, "verify_design", counted)
+        return calls
+
+    @staticmethod
+    def superposition_fields(fig2):
+        system, fields = fig2
+        rng = np.random.default_rng(33)
+        c = crandn(rng, system.n_degenerate)
+        target = TargetSpec(c / np.linalg.norm(c))
+        pump = matched_pump_rabi(fields.peak_rabi_stokes, target, 1.0)
+        return FieldSet(pump, fields.peak_rabi_stokes, fields.width), target
+
+    def test_passing_verdict_kept(self, fig2, monkeypatch):
+        system, _ = fig2
+        fields, target = self.superposition_fields(fig2)
+        calls = self.counted_verify(monkeypatch)
+        first = analytic_lambda1(system, fields, 0.3, target)
+        again = [analytic_lambda1(system, fields, t, target)
+                 for t in (0.3, -1.0, 2.0)]
+        assert len(calls) == 1
+        assert np.array_equal(again[0].components, first.components)
+        # the same verdict for an equal target built apart
+        twin = TargetSpec(target.coefficients.copy())
+        analytic_lambda1(system, fields, 0.3, twin)
+        assert len(calls) == 1
+
+    def test_failing_design_raises_on_every_call(self, fig2, monkeypatch):
+        system, fields = fig2
+        pump = fields.peak_rabi_pump.copy()
+        pump[0] *= 1.01
+        broken = FieldSet(pump, fields.peak_rabi_stokes, fields.width)
+        calls = self.counted_verify(monkeypatch)
+        for _ in range(3):
+            with pytest.raises(DesignError, match="phase-matching"):
+                analytic_lambda1(system, broken, 0.0)
+        assert len(calls) == 3
+
+    def test_second_target_judged_afresh(self, fig2, monkeypatch):
+        system, _ = fig2
+        fields, target = self.superposition_fields(fig2)
+        calls = self.counted_verify(monkeypatch)
+        vec = analytic_lambda1(system, fields, 0.5, target)
+        # -c is matched by the same fields with eta = -1; the vector is the same
+        flipped = analytic_lambda1(system, fields, 0.5,
+                                   TargetSpec(-target.coefficients))
+        assert len(calls) == 2
+        assert np.abs(flipped.components - vec.components).max() <= 1e-15
+        with pytest.raises(DesignError, match="phase-matching"):
+            analytic_lambda1(system, fields, 0.5)
+        with pytest.raises(DesignError, match="phase-matching"):
+            analytic_lambda1(system, fields, 0.5)
+        assert len(calls) == 4
+        analytic_lambda1(system, fields, 0.5, target)
+        analytic_lambda1(system, fields, 0.5, TargetSpec(-target.coefficients))
+        assert len(calls) == 4
+
+    def test_each_field_set_has_its_own_verdict(self, fig2, monkeypatch):
+        system, fields = fig2
+        own = FieldSet(fields.peak_rabi_pump, fields.peak_rabi_stokes,
+                       fields.width)
+        calls = self.counted_verify(monkeypatch)
+        derived = [own, own.scaled(2.0), own.with_width(2.0),
+                   FieldSet(own.peak_rabi_pump, own.peak_rabi_stokes,
+                            own.width)]
+        for field_set in derived + derived:
+            analytic_lambda1(system, field_set, 0.0)
+        assert [id(f) for f in calls] == [id(f) for f in derived]
+
+    def test_shapes_checked_on_every_call(self, fig2):
+        system, fields = fig2
+        own = FieldSet(fields.peak_rabi_pump, fields.peak_rabi_stokes,
+                       fields.width)
+        analytic_lambda1(system, own, 0.0)
+        other = SystemSpec(system.n_intermediate - 1, system.n_degenerate,
+                           system.mu_pump[:-1], system.mu_stokes[:-1])
+        with pytest.raises(ValueError, match="does not match system"):
+            analytic_lambda1(other, own, 0.0)
+
+
 class TestTracking:
     def test_constant_hamiltonian_constant_track(self):
         rng = np.random.default_rng(10)
@@ -704,6 +795,150 @@ class TestTrackingRestarts:
             f"t = {jump:g}; refine the time grid")
         with pytest.raises(RuntimeError, match=f"lost at t = {jump:g}$"):
             reference_null_frame(sampler, [s.components for s in seeds], grid)
+
+
+def rotating_stack(seed, steps, step=0.002):
+    """Orthonormal bases ``expm(i t G) V`` at ``steps + 1`` times ``step`` apart."""
+    rng = np.random.default_rng(seed)
+    g = crandn(rng, 5, 5)
+    w, basis = np.linalg.eigh(g + g.conj().T)
+    start = np.linalg.qr(crandn(rng, 5, 5))[0]
+    times = step * np.arange(steps + 1)
+    return np.array([(basis * np.exp(1j * t * w)) @ basis.conj().T @ start
+                     for t in times])
+
+
+def sequential_transport(vecs, frame, size=2):
+    """Frames in the span of the first ``size`` columns: one step product and
+    one QR with a real positive R diagonal per point."""
+    u = vecs[:, :, :size]
+    coords = u[0].conj().T @ frame
+    product = np.eye(size, dtype=complex)
+    frames = []
+    for g in range(1, len(vecs)):
+        product = (u[g].conj().T @ u[g - 1]) @ product
+        q, r = np.linalg.qr(product @ coords)
+        diagonal = r.diagonal()
+        frames.append(u[g] @ (q * (diagonal / np.abs(diagonal))))
+    return np.array(frames)
+
+
+class TestBlockedScan:
+    """The transport's blocked prefix scan against a sequential product."""
+
+    LEVELS = [0.0, 0.0, 0.5, 2.5, -1.5]
+
+    @staticmethod
+    def transport(vecs, vals, frame):
+        moved = np.empty((len(vecs),) + frame.shape, dtype=complex)
+        moved[0] = frame
+        best = np.abs(vecs[0].conj().T @ frame).argmax(axis=0)
+        kept = nullspace._transport(vecs, vals, moved, best)
+        return kept, moved
+
+    @pytest.mark.parametrize("steps", [1, 2, 15, 16, 17, 33, 255])
+    def test_matches_sequential_product(self, steps):
+        vecs = rotating_stack(60 + steps, steps)
+        vals = np.tile(self.LEVELS, (steps + 1, 1))
+        mix = np.linalg.qr(crandn(np.random.default_rng(steps), 2, 2))[0]
+        frame = vecs[0][:, :2] @ mix
+        kept, moved = self.transport(vecs, vals, frame)
+        assert kept == steps + 1
+        expected = sequential_transport(vecs, frame)
+        assert np.abs(moved[1:] - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("joined_at", [5, 16, 23, 200])
+    def test_stops_where_a_level_joins(self, joined_at):
+        # from joined_at on, a third level sits in the tracked cluster, so
+        # the transport hands over to the point-by-point rule there
+        steps = 255
+        vecs = rotating_stack(61, steps)
+        vals = np.tile(self.LEVELS, (steps + 1, 1))
+        vals[joined_at:, 2] = 0.0
+        frame = vecs[0][:, :2]
+        kept, moved = self.transport(vecs, vals, frame)
+        assert kept == joined_at
+        expected = sequential_transport(vecs[:joined_at], frame)
+        assert np.abs(moved[1:kept] - expected).max() <= 1e-12
+
+    def test_restart_mid_block_matches_rule(self, monkeypatch):
+        # the tracker restarts the transport at the join and at the exit,
+        # both inside one 256-point block
+        vecs = rotating_stack(62, TRACK_BLOCK - 1)
+        grid = np.linspace(0.0, 1.0, TRACK_BLOCK)
+        inside = (grid >= 0.4) & (grid <= 0.7)
+        stack = {}
+        for t, u, joined in zip(grid.tolist(), vecs, inside):
+            levels = np.array(self.LEVELS)
+            levels[2] = 0.0 if joined else levels[2]
+            stack[t] = (u * levels) @ u.conj().T
+
+        seeds = [make_null_vector(v, 0.0) for v in vecs[0].T[:2]]
+        times = TestTrackingRestarts.rule_times(monkeypatch)
+        frames = track_null_frame(stack.__getitem__, seeds, grid)
+        got = np.array([[v.components for v in f] for f in frames])
+        expected = reference_null_frame(
+            stack.__getitem__, [s.components for s in seeds], grid)
+        assert np.abs(got - expected).max() <= 1e-12
+        assert {grid[0], grid[inside][0], grid[~inside & (grid > 0.7)][0]} \
+            <= set(times)
+        assert len(times) < 20
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 31, 32, 33, 255, 256])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_prefix_products(self, n, k):
+        rng = np.random.default_rng(70 + n + k)
+        steps = np.eye(k) + 0.1 * crandn(rng, n, k, k)
+        expected = [steps[0]]
+        for step in steps[1:]:
+            expected.append(step @ expected[-1])
+        got = nullspace._prefix_products(steps)
+        assert got.shape == steps.shape
+        assert np.abs(got - np.array(expected)).max() <= 1e-12
+
+
+class TestHermitianSampler:
+    """The eigh path of tracking refuses a sampler that is not Hermitian."""
+
+    def test_non_hermitian_sampler_rejected(self):
+        def sampler(t):
+            return np.array([[0.0, 1.0], [1.0 + 3.0 * t, 1.0]])
+
+        grid = np.linspace(0.0, 1.0, 5)
+        _, vecs = np.linalg.eigh(sampler(0.0))
+        with pytest.raises(ValueError,
+                           match=r"expected a Hermitian matrix at t = 0\.25"):
+            track_null_frame(sampler, [make_null_vector(vecs[:, 0], 0.0)],
+                             grid)
+
+    def test_later_block_checked(self):
+        # the first block is Hermitian; the second turns skew at its third point
+        grid = np.linspace(0.0, 1.0, TRACK_BLOCK + 5)
+        bad = grid[TRACK_BLOCK + 2]
+        base = np.array([[1.0, 0.5j], [-0.5j, -1.0]])
+
+        def sampler(t):
+            return base + (np.array([[0.0, 1e-6], [0.0, 0.0]]) if t >= bad
+                           else 0.0)
+
+        _, vecs = np.linalg.eigh(base)
+        with pytest.raises(ValueError, match=f"at t = {bad:g}"):
+            track_null_frame(sampler, [make_null_vector(vecs[:, 0], 0.0)],
+                             grid)
+
+    @pytest.mark.parametrize("scale", [1e-150, 1.0, 1e150])
+    def test_rounding_level_asymmetry_accepted_at_any_scale(self, scale):
+        rng = np.random.default_rng(34)
+        a = crandn(rng, 4, 4)
+        h = (a + a.conj().T) * scale
+        # below numeric_null_space's bound of 1e-12 max|h|
+        skewed = h.copy()
+        skewed[0, 1] += 1e-13 * np.abs(h).max()
+        _, vecs = np.linalg.eigh(h)
+        frames = track_null_frame(lambda t: skewed,
+                                  [make_null_vector(vecs[:, 0], 0.0)],
+                                  np.linspace(0.0, 1.0, 4))
+        assert len(frames) == 4
 
 
 def one_seed_track(h, seed, grid):
